@@ -16,10 +16,13 @@ so the LR bound is the maximum of
 over all d^4 assignments.  For the product form above this value is
 x*y1 + x*y2 + xt*y1 - xt*y2 with x, xt, y1, y2 in {-1, +1}, hence always ±2.
 
-Tightness of B <= 2 on the LR polytope is certified by counting maximizing
-assignments (the count has the closed form m_formula) against the facet
-threshold 4d(d-1), and by exact integer ranks of the maximizers' extremal
-0/1 vectors.  Rank computations never touch floating point.
+Tightness of B <= 2 on the LR polytope is certified by the rank of the
+maximizers' extremal 0/1 vectors.  A facet needs rank 4d(d-1); the count of
+maximizing assignments (closed form m_formula) reaching that threshold is
+only a necessary condition.  The rank is found modulo a prime, which stops
+as soon as it reaches the geometric upper bound, and by exact integer
+elimination only when the modular rank falls short.  Rank computations never
+touch floating point.
 """
 
 from __future__ import annotations
@@ -38,6 +41,12 @@ DEFAULT_ENUMERATION_LIMIT = 32
 # precision fallback kicks in.
 _INT64_SAFE = 2**62
 _NORMALISE_ABOVE = 2**20
+
+# Modulus of the modular rank: a product of two residues stays below 2**62,
+# so int64 arithmetic never overflows.
+_PRIME = 2**31 - 1
+# Maximizers reduced per batch by the modular rank.
+_CHUNK_ROWS = 32
 
 
 class EnumerationLimitError(ValueError):
@@ -249,13 +258,16 @@ class ExtremalVector:
         return cls(d, _extremal_components(d, config.k1, config.k2, config.l1, config.l2))
 
 
+def _extremal_columns(d: int, configs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Column of the 1 in each of the four blocks, for (k1, k2, l1, l2) rows."""
+    k1, k2, l1, l2 = np.asarray(configs).T
+    dd = d * d
+    return (k1 * d + l1, dd + k1 * d + l2, 2 * dd + k2 * d + l1, 3 * dd + k2 * d + l2)
+
+
 def _extremal_components(d: int, k1: int, k2: int, l1: int, l2: int) -> np.ndarray:
     g = np.zeros(4 * d * d, dtype=np.int64)
-    dd = d * d
-    g[0 * dd + k1 * d + l1] = 1
-    g[1 * dd + k1 * d + l2] = 1
-    g[2 * dd + k2 * d + l1] = 1
-    g[3 * dd + k2 * d + l2] = 1
+    g[list(_extremal_columns(d, np.array([k1, k2, l1, l2])))] = 1
     return g
 
 
@@ -348,6 +360,55 @@ def exact_rank(rows: Iterable[np.ndarray], ncols: int) -> int:
     return elim.rank
 
 
+def _clear_column(block: np.ndarray, col: int, row: np.ndarray, support: np.ndarray) -> None:
+    """Make block[:, col] zero mod p in place, using a row with row[col] == 1."""
+    hit = np.flatnonzero(block[:, col])
+    if hit.size:
+        cells = np.ix_(hit, support)
+        block[cells] = (block[cells] - block[hit, col][:, None] * row[support]) % _PRIME
+
+
+def _modular_rank(configs: np.ndarray, d: int, bound: int) -> int:
+    """Rank over GF(p) of the configs' extremal vectors, stopping at bound.
+
+    The basis is kept in reduced row echelon form, so a fresh 0/1 row is
+    reduced by subtracting the basis rows of its (at most four) pivot
+    columns.  Rows are built and reduced a chunk at a time and visited in a
+    fixed spread-out order: the rank does not depend on the order, but how
+    soon it reaches the bound does.
+    """
+    ncols = 4 * d * d
+    # The extra zero row stands in for the basis row of a non-pivot column.
+    basis = np.zeros((bound + 1, ncols), dtype=np.int64)
+    row_of_pivot = np.full(ncols, bound)
+    order = np.random.default_rng(0).permutation(configs.shape[0])
+    rank = 0
+    for start in range(0, order.size, _CHUNK_ROWS):
+        if rank == bound:
+            break
+        cols = _extremal_columns(d, configs[order[start:start + _CHUNK_ROWS]])
+        rows = np.zeros((cols[0].size, ncols), dtype=np.int64)
+        for c in cols:
+            rows -= basis[row_of_pivot[c]]
+            rows[np.arange(c.size), c] += 1
+        rows %= _PRIME
+        while rank < bound:
+            rows = rows[rows.any(axis=1)]
+            if rows.shape[0] == 0:
+                break
+            row = rows[0]
+            col = int(np.flatnonzero(row)[0])
+            row = row * pow(int(row[col]), -1, _PRIME) % _PRIME
+            support = np.flatnonzero(row)
+            _clear_column(basis[:rank], col, row, support)
+            rows = rows[1:]
+            _clear_column(rows, col, row, support)
+            basis[rank] = row
+            row_of_pivot[col] = rank
+            rank += 1
+    return rank
+
+
 @dataclass(frozen=True)
 class TightnessReport:
     """Certificate data for one binned inequality."""
@@ -395,43 +456,37 @@ def tightness_certificate(
 ) -> TightnessReport:
     """Enumerate LR maximizers and certify tightness of the binned inequality.
 
-    The maximizers are streamed into two exact integer eliminations (one for
-    linear rank, one for ranks of differences from the first maximizer, which
-    gives the affine rank as rank + 1) with early exit at full rank 4d^2.
+    The rank of the maximizers' extremal vectors has a geometric upper bound:
+    all d^4 deterministic vectors span (2d-1)^2 dimensions, and when some
+    assignment is not a maximizer the maximizers lie on a proper face, of
+    rank at most 4d(d-1).  The rank is computed over GF(p), p = 2^31 - 1,
+    stopping at the bound; a rank over GF(p) never exceeds the rank over Q,
+    so reaching the bound proves the exact rank.  Only when it falls short
+    does an exact integer elimination over all maximizers give the rank.
+
     is_tight_by_count compares the exact count against the facet threshold
-    4d(d-1); the ranks are reported alongside for independent scrutiny.
+    4d(d-1) and is only a necessary condition: specs with empty subsets
+    (which the CLI cannot express) can pass the count with linear_rank below
+    the threshold, and are not facets.
     """
     _check_limit(spec.d, limit)
     d = spec.d
     coeffs = build_coefficients(spec)
-    values = _all_values(coeffs)
-    vmax = int(values.max())
-    configs = np.argwhere(values == vmax)
+    configs = _max_config_array(coeffs)
     m_counted = int(configs.shape[0])
-
-    ncols = 4 * d * d
-    linear = ExactIntegerRank(ncols)
-    affine = ExactIntegerRank(ncols)
-    first: np.ndarray | None = None
-    for k1, k2, l1, l2 in configs:
-        g = _extremal_components(d, int(k1), int(k2), int(l1), int(l2))
-        if first is None:
-            first = g
-        elif affine.rank < ncols:
-            affine.add(g - first)
-        if linear.rank < ncols:
-            linear.add(g)
-        if linear.rank == ncols and affine.rank == ncols:
-            break
-
-    affine_rank = affine.rank + 1 if m_counted > 0 else 0
     threshold = facet_threshold(d)
+    bound = (2 * d - 1) ** 2 if m_counted == d**4 else threshold
+    rank = _modular_rank(configs, d, bound)
+    if rank < bound:
+        rank = exact_rank((_extremal_components(d, *map(int, c)) for c in configs), 4 * d * d)
     return TightnessReport(
-        lr_max=float(vmax),
+        lr_max=lr_max(coeffs, limit=limit),
         m_counted=m_counted,
         m_formula=m_formula(spec),
         threshold=threshold,
-        linear_rank=linear.rank,
-        affine_rank=affine_rank,
+        linear_rank=rank,
+        # Every extremal vector's first block sums to 1, so the affine hull of
+        # the maximizers misses the origin and its dimension is rank - 1.
+        affine_rank=rank,
         is_tight_by_count=m_counted >= threshold,
     )

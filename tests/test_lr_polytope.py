@@ -242,6 +242,36 @@ class TestTightnessCertificate:
             assert report.linear_rank >= report.threshold
             assert report.m_counted >= report.threshold
 
+    @staticmethod
+    def reference_rank(spec: BinningSpec) -> int:
+        elim = ExactIntegerRank(4 * spec.d * spec.d)
+        for config in iter_max_configs(build_coefficients(spec)):
+            elim.add(ExtremalVector.from_config(spec.d, config).components)
+        return elim.rank
+
+    def test_ranks_match_exact_stream_on_random_specs(self):
+        rng = np.random.default_rng(13)
+        for d in range(2, 7):
+            for _ in range(3):
+                spec = random_spec(rng, d)
+                report = tightness_certificate(spec)
+                rank = self.reference_rank(spec)
+                assert (report.linear_rank, report.affine_rank) == (rank, rank), spec
+
+    @pytest.mark.parametrize("spec,rank", [
+        # Passes the count (54 >= 24) but is not a facet.
+        (BinningSpec(d=3, r1=(), r2=(), s1=(0,), s2=()), 20),
+        (BinningSpec(d=4, r1=(1,), r2=(), s1=(0, 2), s2=(3,)), 40),
+        (BinningSpec(d=2, r1=(0,), r2=(), s1=(1,), s2=()), 4),
+        # Every assignment is a maximizer: the rank is the full (2d-1)^2.
+        (BinningSpec(d=3, r1=(), r2=(), s1=(), s2=()), 25),
+    ])
+    def test_ranks_match_exact_stream_with_empty_subsets(self, spec, rank):
+        report = tightness_certificate(spec)
+        assert self.reference_rank(spec) == rank
+        assert (report.linear_rank, report.affine_rank) == (rank, rank)
+        assert report.is_tight_by_count == (report.m_counted >= report.threshold)
+
     def test_maximizers_stream_in_lexicographic_order(self):
         coeffs = build_coefficients(T1(2))
         configs = [(c.k1, c.k2, c.l1, c.l2) for c in iter_max_configs(coeffs)]
