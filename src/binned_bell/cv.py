@@ -27,9 +27,17 @@ quantum bound 2 sqrt(2) as r -> infinity.  Inverting the closed form gives
 the minimum squeezing needed for a violation within delta of that bound.
 
 For comparison, the displaced-parity test measures parity after a Glauber
-displacement, Pi(alpha) = D(alpha) P D(alpha)^dagger, on the same two-mode
-squeezed state.  Its best value saturates near 2.32, short of 2 sqrt(2);
-the search utilities here reproduce that plateau numerically.
+displacement, Pi(alpha) = D(alpha) P D(alpha)^dagger = D(2 alpha) P, on the
+same two-mode squeezed state.  Its best value saturates near 2.32, short of
+2 sqrt(2); the search utilities here reproduce that plateau numerically.
+The search never exponentiates a matrix: with alpha = rho exp(i theta) and
+R = diag(exp(i n theta)), the truncated generator 2(alpha a^dagger -
+alpha^* a) equals R 2 rho (a^dagger - a) R^dagger exactly, so one eigh of
+H = i(a^dagger - a) = Phi mu Phi^dagger gives
+
+    D(2 alpha) = (R Phi) diag(exp(-2i rho mu)) (R Phi)^dagger
+
+for every complex alpha.
 """
 
 from __future__ import annotations
@@ -40,7 +48,6 @@ import operator
 import warnings
 
 import numpy as np
-import scipy.linalg
 
 SQRT8 = 2.0 * math.sqrt(2.0)
 
@@ -380,8 +387,12 @@ def displaced_parity_matrix(cutoff_fock: int, alpha: complex) -> np.ndarray:
     """Displaced parity D(alpha) P D(alpha)^dagger in the cutoff Fock basis.
 
     Parity anticommutes with the displacement generator even after
-    truncation, so the product collapses exactly to D(2 alpha) P.
+    truncation, so the product collapses exactly to D(2 alpha) P.  D(2 alpha)
+    comes from a matrix exponential of the generator, independent of the
+    spectral route the searches use; this is the reference route.
     """
+    import scipy.linalg
+
     cutoff_fock = operator.index(cutoff_fock)
     if cutoff_fock < 1:
         raise ValueError(f"Fock cutoff must be >= 1, got {cutoff_fock}")
@@ -392,11 +403,14 @@ def displaced_parity_matrix(cutoff_fock: int, alpha: complex) -> np.ndarray:
     return displacement * signs
 
 
-class _RealDisplacementTables:
-    """Fast displaced-parity correlations for real displacements.
+class _DisplacementTables:
+    """Spectral displaced-parity correlations for any displacements.
 
-    With H = i(a^dagger - a) = Phi mu Phi^dagger, the parity signs cancel
-    pairwise in the Schmidt contraction and
+    With H = i(a^dagger - a) = Phi mu Phi^dagger, D(2 alpha) = (R Phi)
+    diag(exp(-2i rho mu)) (R Phi)^dagger for alpha = rho exp(i theta) and
+    R = diag(exp(i n theta)).  The parity signs cancel pairwise in the
+    Schmidt contraction, so E(alpha, beta) = Re sum_mn c_m c_n
+    D(2 alpha)_mn D(2 beta)_mn.  For real displacements (R = 1) this is
 
         E(alpha, beta) = Re[ u(alpha)^T W v(beta) ],
         u_p(alpha) = exp(-2i alpha mu_p),  W = |Phi^T diag(c) Phi|^2,
@@ -408,21 +422,41 @@ class _RealDisplacementTables:
     def __init__(self, cutoff_fock: int, r: float):
         dim = cutoff_fock + 1
         a = _annihilation(dim)
-        h = 1j * (a.conj().T - a)
-        mu, phi = np.linalg.eigh(h)
+        mu, phi = np.linalg.eigh(1j * (a.conj().T - a))
         c = _tmss_amplitudes(cutoff_fock, r)
         g = phi.T @ (c[:, None] * phi)
         self.mu = mu
-        self.weights = np.abs(g) ** 2
+        self.phi = phi
+        self.levels = np.arange(dim)
+        self.schmidt_weights = np.outer(c, c)
+        # Complex once here, so u @ W does not cast W on every call.
+        self.weights = (np.abs(g) ** 2).astype(complex)
+
+    def displacements(self, alphas: np.ndarray) -> np.ndarray:
+        """D(2 alpha) for each alpha, stacked along the first axis."""
+        rotation = np.exp(1j * np.outer(np.angle(alphas), self.levels))
+        spectrum = np.exp(-2j * np.outer(np.abs(alphas), self.mu))
+        radial = (self.phi * spectrum[:, None, :]) @ self.phi.conj().T
+        return rotation[:, :, None] * radial * rotation.conj()[:, None, :]
 
     def correlation_table(self, alphas: np.ndarray, betas: np.ndarray) -> np.ndarray:
-        u = np.exp(-2j * np.outer(alphas, self.mu))
-        v = np.exp(-2j * np.outer(betas, self.mu))
-        return np.real(u @ self.weights @ v.T)
+        """E(alpha_i, beta_j); all-real displacements take the u W v product."""
+        if np.isrealobj(alphas) and np.isrealobj(betas):
+            u = np.exp(-2j * np.outer(alphas, self.mu))
+            v = np.exp(-2j * np.outer(betas, self.mu))
+            return np.real(u @ self.weights @ v.T)
+        d = self.displacements(np.concatenate([alphas, betas]))
+        da, db = self.schmidt_weights * d[: len(alphas)], d[len(alphas) :]
+        return np.real(da.reshape(len(da), -1) @ db.reshape(len(db), -1).T)
 
     def bell_value(self, x: np.ndarray) -> float:
+        """Bell value at displacements x = (alpha, alpha', beta, beta')."""
         table = self.correlation_table(x[:2], x[2:])
         return float(table[0, 0] + table[0, 1] + table[1, 0] - table[1, 1])
+
+
+# Name under which the tests import the real-displacement tables.
+_RealDisplacementTables = _DisplacementTables
 
 
 def bw_bell_value(
@@ -437,7 +471,7 @@ def bw_bell_value(
 
     Builds the two parity matrices per party from the definition and
     contracts through the Schmidt form; serves as the reference route for
-    the fast search path.
+    the spectral search.
     """
     cutoff_fock = _check_fock_cutoff(cutoff_fock, r, tail_mass)
     c = _tmss_amplitudes(cutoff_fock, r)
@@ -451,21 +485,13 @@ def bw_bell_value(
     )
 
 
-def _bw_search_real(
-    tables: _RealDisplacementTables,
-    *,
-    anchor_zero: bool,
-    grid_radius: float,
-    grid_points: int,
-    restarts: int,
-    seed: int,
-    tol: float,
-) -> tuple[float, np.ndarray]:
-    import scipy.optimize
-
+def _grid_start(
+    tables: _DisplacementTables, anchor_zero: bool, grid_radius: float, grid_points: int
+) -> np.ndarray:
+    # Best real settings on a displacement grid: (alpha, beta) for the
+    # anchored arrangement, (alpha, alpha', beta, beta') for the free one.
     grid = np.linspace(-grid_radius, grid_radius, grid_points)
     table = tables.correlation_table(grid, grid)
-
     if anchor_zero:
         # Settings are 0 and alpha for one party, 0 and beta for the other:
         # B = E(0,0) + E(0,beta) + E(alpha,0) - E(alpha,beta).
@@ -473,13 +499,6 @@ def _bw_search_real(
         zero_col = tables.correlation_table(grid, np.array([0.0]))[:, 0]
         origin = tables.correlation_table(np.array([0.0]), np.array([0.0]))[0, 0]
         combo = origin + zero_row[None, :] + zero_col[:, None] - table
-        i, j = np.unravel_index(np.argmax(combo), combo.shape)
-        x0 = np.array([grid[i], grid[j]])
-
-        def objective(x: np.ndarray) -> float:
-            full = np.array([0.0, x[0], 0.0, x[1]])
-            return -tables.bell_value(full)
-
     else:
         combo = (
             table[:, None, :, None]
@@ -487,72 +506,7 @@ def _bw_search_real(
             + table[None, :, :, None]
             - table[None, :, None, :]
         )
-        flat = np.unravel_index(np.argmax(combo), combo.shape)
-        x0 = grid[np.array(flat)]
-
-        def objective(x: np.ndarray) -> float:
-            return -tables.bell_value(x)
-
-    rng = np.random.default_rng(seed)
-    starts = [x0]
-    starts += [rng.uniform(-grid_radius, grid_radius, size=x0.size) for _ in range(restarts)]
-    best_value = -np.inf
-    best_x = x0
-    for start in starts:
-        result = scipy.optimize.minimize(
-            objective,
-            start,
-            method="Nelder-Mead",
-            options={"xatol": tol, "fatol": tol, "maxiter": 4000, "maxfev": 8000},
-        )
-        if -result.fun > best_value:
-            best_value = -result.fun
-            best_x = result.x
-    if anchor_zero:
-        best_x = np.array([0.0, best_x[0], 0.0, best_x[1]])
-    return best_value, best_x
-
-
-def _bw_search_complex(
-    cutoff_fock: int,
-    r: float,
-    *,
-    grid_radius: float,
-    restarts: int,
-    seed: int,
-    tol: float,
-) -> tuple[float, np.ndarray]:
-    import scipy.optimize
-
-    c = _tmss_amplitudes(cutoff_fock, r)
-
-    def objective(x: np.ndarray) -> float:
-        alphas = [x[0] + 1j * x[1], x[2] + 1j * x[3]]
-        betas = [x[4] + 1j * x[5], x[6] + 1j * x[7]]
-        pa = [displaced_parity_matrix(cutoff_fock, a) for a in alphas]
-        pb = [displaced_parity_matrix(cutoff_fock, b) for b in betas]
-        return -(
-            _schmidt_correlation(c, pa[0], pb[0])
-            + _schmidt_correlation(c, pa[0], pb[1])
-            + _schmidt_correlation(c, pa[1], pb[0])
-            - _schmidt_correlation(c, pa[1], pb[1])
-        )
-
-    rng = np.random.default_rng(seed)
-    best_value = -np.inf
-    best_x = np.zeros(8)
-    for _ in range(restarts + 1):
-        start = rng.uniform(-grid_radius, grid_radius, size=8)
-        result = scipy.optimize.minimize(
-            objective,
-            start,
-            method="Nelder-Mead",
-            options={"xatol": tol, "fatol": tol, "maxiter": 6000, "maxfev": 12000},
-        )
-        if -result.fun > best_value:
-            best_value = -result.fun
-            best_x = result.x
-    return best_value, best_x
+    return grid[np.array(np.unravel_index(np.argmax(combo), combo.shape))]
 
 
 def bw_displaced_parity_max(
@@ -570,46 +524,66 @@ def bw_displaced_parity_max(
 ) -> float:
     """Best-found displaced-parity Bell value at squeezing r.
 
-    Searches displacement settings by grid seeding plus Nelder-Mead
-    refinement.  By default all four displacements are free, which is the
-    arrangement whose optimum over r plateaus near 2.32; anchor_zero
+    By default all four displacements are real and free, which is the
+    arrangement whose optimum over r plateaus near 2.32; a grid seeds the
+    first Nelder-Mead start and restarts more start at random.  anchor_zero
     restricts each party's first setting to no displacement, a strictly
-    weaker arrangement.  Real displacements use a spectral fast path; the
-    returned value is re-verified against the definition-level route.
+    weaker arrangement.  complex_displacements frees all eight real
+    parameters and refines restarts + 1 random starts.  Both searches
+    evaluate the spectral route of _DisplacementTables (one eigh, no matrix
+    exponential); the returned value is re-verified against the
+    definition-level route, bw_bell_value.
     """
+    import scipy.optimize
+
     r = float(r)
     if not math.isfinite(r) or r < 0.0:
         raise ValueError(f"squeezing r must be finite and >= 0, got {r}")
     cutoff_fock = _check_fock_cutoff(cutoff_fock, r, tail_mass)
+    if grid_points < 2:
+        raise ValueError(f"grid_points must be at least 2, got {grid_points}")
+    if restarts < 0:
+        raise ValueError(f"restarts must be nonnegative, got {restarts}")
+    if anchor_zero and complex_displacements:
+        raise ValueError("anchor_zero applies to real displacements only")
     if grid_radius is None:
         # Optimal displacements shrink roughly like exp(-r); keep the
         # seeding grid focused on that scale.
         grid_radius = max(1.2 * math.exp(-r), 0.05)
 
+    tables = _DisplacementTables(cutoff_fock, r)
+    rng = np.random.default_rng(seed)
     if complex_displacements:
-        value, x = _bw_search_complex(
-            cutoff_fock, r, grid_radius=grid_radius, restarts=restarts, seed=seed, tol=tol
-        )
-        alphas = (x[0] + 1j * x[1], x[2] + 1j * x[3])
-        betas = (x[4] + 1j * x[5], x[6] + 1j * x[7])
-    else:
-        tables = _RealDisplacementTables(cutoff_fock, r)
-        value, x = _bw_search_real(
-            tables,
-            anchor_zero=anchor_zero,
-            grid_radius=grid_radius,
-            grid_points=grid_points,
-            restarts=restarts,
-            seed=seed,
-            tol=tol,
-        )
-        alphas = (complex(x[0]), complex(x[1]))
-        betas = (complex(x[2]), complex(x[3]))
 
-    check = bw_bell_value(cutoff_fock, r, alphas, betas, tail_mass=tail_mass)
+        def settings(params: np.ndarray) -> np.ndarray:
+            return params[0::2] + 1j * params[1::2]
+
+        starts, size, count, maxiter = [], 8, restarts + 1, 6000
+    else:
+
+        def settings(params: np.ndarray) -> np.ndarray:
+            return np.array([0.0, params[0], 0.0, params[1]]) if anchor_zero else params
+
+        starts = [_grid_start(tables, anchor_zero, grid_radius, grid_points)]
+        size, count, maxiter = starts[0].size, restarts, 4000
+    starts += [rng.uniform(-grid_radius, grid_radius, size=size) for _ in range(count)]
+
+    value, x = -np.inf, starts[0]
+    for start in starts:
+        result = scipy.optimize.minimize(
+            lambda params: -tables.bell_value(settings(params)),
+            start,
+            method="Nelder-Mead",
+            options={"xatol": tol, "fatol": tol, "maxiter": maxiter, "maxfev": 2 * maxiter},
+        )
+        if -result.fun > value:
+            value, x = -result.fun, result.x
+    z = settings(x).astype(complex)
+    del tables  # release its dim x dim matrices before the expm route allocates
+    check = bw_bell_value(cutoff_fock, r, tuple(z[:2]), tuple(z[2:]), tail_mass=tail_mass)
     if abs(check - value) > 1e-8:
         raise ArithmeticError(
-            f"displaced-parity fast path disagrees with the definition route: "
+            f"displaced-parity spectral route disagrees with the definition route: "
             f"{value!r} vs {check!r}"
         )
     return check

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .lr_polytope import BinningSpec, CoefficientTensor, build_coefficients
 
@@ -449,6 +448,8 @@ def optimize_phases(
     quantum maximum.  Ties on the grid resolve to the lexicographically
     smallest phase tuple; identical inputs and seed give identical output.
     """
+    from scipy.optimize import minimize
+
     if isinstance(preset, str):
         preset = BinningPreset(preset, d)
     if preset.d != d:

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import binned_bell
 from binned_bell import cli
 
 
@@ -200,3 +204,20 @@ class TestDeterminismAndConfig:
                            "--steps", "1", "--out", str(tmp_path / "missing" / "x.csv"))
         assert code == 1
         assert "error" in err
+
+
+class TestImportCost:
+    def test_package_import_leaves_scipy_unloaded(self):
+        # scipy.optimize and scipy.linalg are imported by the functions that
+        # use them, so `threshold` and `tightness` never pay for them.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(binned_bell.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import sys, binned_bell, binned_bell.cli; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "[]"

@@ -19,6 +19,7 @@ from binned_bell.cv import (
     PhaseParityOperator,
     TruncatedTmss,
     _annihilation,
+    _DisplacementTables,
     _RealDisplacementTables,
     bw_bell_value,
     bw_displaced_parity_max,
@@ -267,3 +268,55 @@ class TestDisplacedParity:
         )
         assert complex_value <= real_value + 1e-6
         assert abs(complex_value - real_value) < 1e-3
+
+
+class TestSpectralDisplacement:
+    @pytest.mark.parametrize("cutoff", [5, 20, required_fock_cutoff(1.2)])
+    def test_matches_definition_for_complex_alpha(self, cutoff):
+        rng = np.random.default_rng(cutoff)
+        alphas = (rng.normal(size=6) + 1j * rng.normal(size=6)) * 0.4
+        signs = np.where(np.arange(cutoff + 1) % 2 == 0, 1.0, -1.0)
+        spectral = _DisplacementTables(cutoff, 1.2).displacements(alphas) * signs
+        for alpha, op in zip(alphas, spectral):
+            assert np.max(np.abs(op - displaced_parity_matrix(cutoff, alpha))) < 1e-12
+
+    def test_complex_objective_matches_definition_route(self):
+        r = 0.9
+        cutoff = required_fock_cutoff(r)
+        tables = _DisplacementTables(cutoff, r)
+        rng = np.random.default_rng(21)
+        for _ in range(5):
+            z = rng.uniform(-0.8, 0.8, size=4) + 1j * rng.uniform(-0.8, 0.8, size=4)
+            reference = bw_bell_value(cutoff, r, (z[0], z[1]), (z[2], z[3]))
+            assert abs(tables.bell_value(z) - reference) < 1e-10
+
+    def test_real_search_values_frozen(self):
+        r = 1.6
+        cutoff = required_fock_cutoff(r)
+        free = bw_displaced_parity_max(cutoff, r, restarts=3, seed=0)
+        anchored = bw_displaced_parity_max(cutoff, r, anchor_zero=True, restarts=3, seed=0)
+        assert abs(free - 2.3229086636061798) < 1e-12
+        assert abs(anchored - 2.189941932433116) < 1e-12
+
+
+class TestDisplacedParityGuards:
+    R = 0.5
+
+    def search(self, **kwargs):
+        return bw_displaced_parity_max(required_fock_cutoff(self.R), self.R, **kwargs)
+
+    def test_negative_restarts_rejected_for_complex_search(self):
+        with pytest.raises(ValueError, match="restarts"):
+            self.search(complex_displacements=True, restarts=-1)
+
+    def test_negative_restarts_rejected_for_real_search(self):
+        with pytest.raises(ValueError, match="restarts"):
+            self.search(restarts=-1)
+
+    def test_grid_points_below_two_rejected(self):
+        with pytest.raises(ValueError, match="grid_points"):
+            self.search(grid_points=1)
+
+    def test_anchor_with_complex_displacements_rejected(self):
+        with pytest.raises(ValueError, match="anchor_zero"):
+            self.search(anchor_zero=True, complex_displacements=True)
