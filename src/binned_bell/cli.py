@@ -272,14 +272,17 @@ def cmd_scan_qudit(args, parser: argparse.ArgumentParser) -> int:
             preset.to_binning_spec()
         except ValueError as exc:
             parser.error(f"binning {args.binning} invalid at d={d}: {exc}")
-        phases, value = qudit.optimize_phases(
-            d,
-            preset,
-            window=args.window,
-            grid_points=args.grid_points,
-            restarts=args.restarts,
-            seed=args.seed,
-        )
+        try:
+            phases, value = qudit.optimize_phases(
+                d,
+                preset,
+                window=args.window,
+                grid_points=args.grid_points,
+                restarts=args.restarts,
+                seed=args.seed,
+            )
+        except ValueError as exc:
+            parser.error(f"phase search invalid at d={d}: {exc}")
         records.append({
             "d": d,
             "binning": args.binning,

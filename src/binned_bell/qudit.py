@@ -64,9 +64,12 @@ class PhaseSettings:
         """Canonical representative with every offset folded into [0, d).
 
         All joint probabilities have period d in each offset, so the Bell
-        sum is unchanged.
+        sum is unchanged.  A tiny negative offset rounds np.mod up to d
+        itself, which is folded to 0.0.
         """
-        return PhaseSettings(*(float(np.mod(v, d)) for v in self.as_array()))
+        folded = np.mod(self.as_array(), d)
+        folded[folded == d] = 0.0
+        return PhaseSettings(*(float(v) for v in folded))
 
 
 def fourier_basis(d: int, offset: float) -> np.ndarray:
@@ -393,7 +396,11 @@ class _KernelObjective:
     Since the kernel depends on k + l only, the Bell sum collapses to
     sum_ab f_ab(t_ab) with t_ab = alpha_a + beta_b and
     f_ab(t) = sum_s c_ab(s) K(s + t), where c_ab(s) sums eps_ab over
-    k + l = s (mod d).  Each evaluation costs O(d) kernel calls.
+    k + l = s (mod d).  Each evaluation makes one kernel call on 4d points
+    (the four t_ab against s = 0..d-1).  The four dot products stay
+    separate contiguous row-vector products, so every value is bit-identical
+    to the sum of the four pair_value calls; a fused row sum rounds
+    differently and would move the Nelder-Mead path.
     """
 
     def __init__(self, coeffs: CoefficientTensor):
@@ -418,12 +425,10 @@ class _KernelObjective:
 
     def __call__(self, x: np.ndarray) -> float:
         a1, a2, b1, b2 = x
-        return float(
-            self.pair_value(0, 0, a1 + b1)
-            + self.pair_value(0, 1, a1 + b2)
-            + self.pair_value(1, 0, a2 + b1)
-            + self.pair_value(1, 1, a2 + b2)
-        )
+        t = np.array([a1 + b1, a1 + b2, a2 + b1, a2 + b2])
+        kern = probability_kernel(self.d, t[:, None] + self._s[None, :])
+        c = self._c.reshape(4, self.d)
+        return float(c[0] @ kern[0] + c[1] @ kern[1] + c[2] @ kern[2] + c[3] @ kern[3])
 
 
 def optimize_phases(

@@ -104,6 +104,17 @@ class TestScanQudit:
         err = run_usage_error(capsys, "scan-qudit", "--binning", "t2", "--dmax", "3")
         assert "d=2" in err
 
+    @pytest.mark.parametrize("flags", [
+        ("--restarts", "-1"),
+        ("--grid-points", "1"),
+        ("--window", "0"),
+        ("--window", "nan"),
+        ("--window", "5", "--dmin", "2"),
+    ])
+    def test_invalid_search_setting_is_usage_error(self, capsys, flags):
+        err = run_usage_error(capsys, "scan-qudit", "--binning", "t1", "--dmax", "3", *flags)
+        assert "at d=2:" in err
+
 
 class TestScanCv:
     def test_columns_agree(self, capsys):

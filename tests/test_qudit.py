@@ -11,6 +11,7 @@ from binned_bell.lr_polytope import CoefficientTensor, build_coefficients
 from binned_bell.qudit import (
     SQRT8,
     BinningPreset,
+    _KernelObjective,
     MeasurementBasis,
     PhaseSettings,
     bell_expectation,
@@ -275,7 +276,43 @@ class TestOptimization:
     def test_phase_reduction_preserves_value(self):
         d = 6
         coeffs = t1_coeffs(d)
-        phases = PhaseSettings(7.3, -2.9, 11.0, 4.2)
-        reduced = phases.reduced(d)
-        assert abs(bell_expectation(d, coeffs, phases) - bell_expectation(d, coeffs, reduced)) < 1e-10
-        assert all(0.0 <= v < d for v in reduced.as_array())
+        for phases in (PhaseSettings(7.3, -2.9, 11.0, 4.2), PhaseSettings(-1e-17, 0, 0, -3e-16)):
+            reduced = phases.reduced(d)
+            assert abs(bell_expectation(d, coeffs, phases) - bell_expectation(d, coeffs, reduced)) < 1e-10
+            assert all(0.0 <= v < d for v in reduced.as_array())
+
+
+def per_pair_objective(objective: _KernelObjective, x: np.ndarray) -> float:
+    """The Bell sum as four separate pair_value calls (the reference route)."""
+    a1, a2, b1, b2 = x
+    return float(
+        objective.pair_value(0, 0, a1 + b1)
+        + objective.pair_value(0, 1, a1 + b2)
+        + objective.pair_value(1, 0, a2 + b1)
+        + objective.pair_value(1, 1, a2 + b2)
+    )
+
+
+class TestKernelObjective:
+    @pytest.mark.parametrize(
+        "kind,d",
+        [("t1", 2), ("t3", 2)] + [(k, d) for d in (3, 8, 32) for k in ("t1", "t2", "t3")],
+    )
+    def test_bit_identical_to_per_pair_sum(self, kind, d):
+        objective = _KernelObjective(build_coefficients(BinningPreset(kind, d).to_binning_spec()))
+        rng = np.random.default_rng(d)
+        points = list(rng.uniform(-d, 2 * d, size=(200, 4)))
+        # Offsets within 1e-12..1e-8 of integers put every t_ab on or beside
+        # the kernel's pole branch.
+        for _ in range(200):
+            near = rng.choice([-1.0, 1.0], size=4) * 10.0 ** rng.uniform(-12, -8.3, size=4)
+            points.append(rng.integers(-d, 2 * d, size=4) + near)
+        for x in points:
+            assert objective(x) == per_pair_objective(objective, x)
+
+    @pytest.mark.parametrize("kind,d", [("t2", 8), ("t3", 5)])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_search_path_unchanged_by_fused_evaluation(self, monkeypatch, kind, d, seed):
+        fused = optimize_phases(d, BinningPreset(kind, d), seed=seed)
+        monkeypatch.setattr(_KernelObjective, "__call__", per_pair_objective)
+        assert optimize_phases(d, BinningPreset(kind, d), seed=seed) == fused
