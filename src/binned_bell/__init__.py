@@ -43,7 +43,6 @@ from .qudit import (
     optimize_phases,
     probability_kernel,
     t1_cosine_form,
-    verify_operator_identity,
 )
 from .cv import (
     AngleDegeneracyWarning,
@@ -93,7 +92,6 @@ __all__ = [
     "optimize_phases",
     "probability_kernel",
     "t1_cosine_form",
-    "verify_operator_identity",
     "AngleDegeneracyWarning",
     "CvScenario",
     "FockCutoffError",

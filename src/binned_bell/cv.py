@@ -455,10 +455,6 @@ class _DisplacementTables:
         return float(table[0, 0] + table[0, 1] + table[1, 0] - table[1, 1])
 
 
-# Name under which the tests import the real-displacement tables.
-_RealDisplacementTables = _DisplacementTables
-
-
 def bw_bell_value(
     cutoff_fock: int,
     r: float,

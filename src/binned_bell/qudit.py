@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -174,30 +174,6 @@ def bell_expectation(
         for b in (1, 2):
             alpha, beta = _offsets(phases, a, b)
             p = matrix(d, alpha, beta)
-            total += float((coeffs.eps[a - 1, b - 1] * p).sum())
-    return total
-
-
-def sine_series_diagnostic(
-    d: int, coeffs: CoefficientTensor, phases: PhaseSettings
-) -> float:
-    """Bell sum with probabilities replaced by 1 / (2 d^3 sin(pi x / d)).
-
-    Diagnostic only: this first-power sine form is not a probability (it is
-    unnormalised, can turn negative and diverges when x hits a multiple of
-    d), and it does not reproduce the direct Bell sum.  It is retained so
-    the mismatch with the derived kernel stays visible.
-    """
-    if coeffs.d != d:
-        raise ValueError(f"coefficient tensor has d={coeffs.d}, expected {d}")
-    k = np.arange(d)
-    total = 0.0
-    for a in (1, 2):
-        for b in (1, 2):
-            alpha, beta = _offsets(phases, a, b)
-            x = k[:, None] + k[None, :] + alpha + beta
-            with np.errstate(divide="ignore"):
-                p = 1.0 / (2 * d**3 * np.sin(np.pi * x / d))
             total += float((coeffs.eps[a - 1, b - 1] * p).sum())
     return total
 
@@ -377,30 +353,19 @@ def operator_identity_residual(
     return float(np.abs(bell.matrix @ bell.matrix - target).max())
 
 
-def verify_operator_identity(
-    d: int,
-    spec: BinningSpec,
-    phases: PhaseSettings,
-    *,
-    limit: int = DEFAULT_OPERATOR_LIMIT,
-) -> float:
-    """Identity residual for the product-form tensor of a binning spec."""
-    if spec.d != d:
-        raise ValueError(f"binning spec has d={spec.d}, expected {d}")
-    return operator_identity_residual(spec, phases, limit=limit)
-
-
 class _KernelObjective:
     """Fast Bell-sum evaluator used by the phase optimizer.
 
     Since the kernel depends on k + l only, the Bell sum collapses to
     sum_ab f_ab(t_ab) with t_ab = alpha_a + beta_b and
     f_ab(t) = sum_s c_ab(s) K(s + t), where c_ab(s) sums eps_ab over
-    k + l = s (mod d).  Each evaluation makes one kernel call on 4d points
-    (the four t_ab against s = 0..d-1).  The four dot products stay
-    separate contiguous row-vector products, so every value is bit-identical
-    to the sum of the four pair_value calls; a fused row sum rounds
-    differently and would move the Nelder-Mead path.
+    k + l = s (mod d).  A call takes phase points of shape (..., 4) and
+    makes one kernel call on all their t_ab against s = 0..d-1.  The kernel
+    is elementwise, and each f_ab stays one BLAS dot product of two
+    contiguous rows (a stacked (1, d) @ (d, 1) matmul), summed in the order
+    f11 + f12 + f21 + f22.  So every value is bit-identical to the sum of
+    the four pair_value calls at that point, whatever the batch around it;
+    a fused row sum rounds differently and would move the Nelder-Mead path.
     """
 
     def __init__(self, coeffs: CoefficientTensor):
@@ -423,12 +388,130 @@ class _KernelObjective:
         out = self._c[a, b] @ kern
         return out.reshape(t.shape)
 
-    def __call__(self, x: np.ndarray) -> float:
-        a1, a2, b1, b2 = x
-        t = np.array([a1 + b1, a1 + b2, a2 + b1, a2 + b2])
-        kern = probability_kernel(self.d, t[:, None] + self._s[None, :])
-        c = self._c.reshape(4, self.d)
-        return float(c[0] @ kern[0] + c[1] @ kern[1] + c[2] @ kern[2] + c[3] @ kern[3])
+    def __call__(self, x) -> np.ndarray:
+        """Bell sum at each point x[..., :] = (alpha1, alpha2, beta1, beta2)."""
+        x = np.asarray(x, dtype=float)
+        # t[..., 2a + b] = alpha_a + beta_b: a1+b1, a1+b2, a2+b1, a2+b2.
+        t = (x[..., :2, None] + x[..., None, 2:]).reshape(x.shape[:-1] + (4,))
+        kern = probability_kernel(self.d, t[..., None] + self._s)
+        f = np.matmul(kern[..., None, :], self._c.reshape(4, self.d, 1))[..., 0, 0]
+        return f[..., 0] + f[..., 1] + f[..., 2] + f[..., 3]
+
+
+# Nelder-Mead caps of the phase search (per start).
+_NM_MAXITER = 4000
+_NM_MAXFEV = 8000
+
+
+def _sort_simplices(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Order each start's vertices by value with np.argsort, as scipy does."""
+    ind = np.argsort(fsim, axis=1)
+    row = np.arange(len(fsim))[:, None]
+    return sim[row, ind], fsim[row, ind]
+
+
+def _nelder_mead_lockstep(
+    func, starts: np.ndarray, *, tol: float, maxiter: int, maxfev: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize func from every row of starts, all starts in lockstep.
+
+    Each start follows scipy.optimize.minimize(method="Nelder-Mead") with
+    xatol = fatol = tol and the given maxiter/maxfev step for step and bit
+    for bit: the same initial simplex (1.05 x nonzero coordinates, 0.00025
+    for zeros), the same coefficient forms of the reflection, expansion,
+    contractions and shrink, the same argsort after every iteration, and
+    the same stops, including a cap hit mid-iteration (a pending expansion
+    or contraction is dropped; a shrink keeps the vertices moved so far).
+    Only the evaluation is batched: func maps points of shape (..., N) to
+    values of shape (...) and is called once per stage of an iteration for
+    all starts still running, so its value at a point must not depend on
+    the batch.
+    Returns every start's final simplex (S, N + 1, N) and its values
+    (S, N + 1), as scipy's final_simplex; scipy's x is sim[:, 0] and its
+    fun is fsim.min(axis=1).
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    x0 = np.asarray(starts, dtype=float)
+    n_starts, n = x0.shape
+    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
+    diag = np.arange(n)
+    sim[:, diag + 1, diag] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
+    fsim = np.full((n_starts, n + 1), np.inf)
+    first = min(n + 1, maxfev)
+    if first > 0:
+        fsim[:, :first] = func(sim[:, :first])
+    fcalls = np.full(n_starts, first)
+    # scipy sorts once after the first evaluations and once more before the loop.
+    sim, fsim = _sort_simplices(*_sort_simplices(sim, fsim))
+    final_sim, final_fsim = np.empty_like(sim), np.empty_like(fsim)
+    # Live starts are kept compact; start[i] is the input row of live start i.
+    start = np.arange(n_starts)
+    iterations = 1  # equal for all live starts: a cut iteration ends its start
+
+    while True:
+        live = fcalls < maxfev
+        if iterations >= maxiter:
+            live[:] = False
+        elif live.any():
+            live &= ~(
+                (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= tol)
+                & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= tol)
+            )
+        if not live.all():
+            done = ~live
+            final_sim[start[done]], final_fsim[start[done]] = sim[done], fsim[done]
+            sim, fsim, fcalls, start = sim[live], fsim[live], fcalls[live], start[live]
+            if not start.size:
+                break
+
+        xbar = np.add.reduce(sim[:, :-1], 1) / n
+        worst = sim[:, -1]
+        xr = (1 + rho) * xbar - rho * worst
+        fxr = func(xr)
+        fcalls += 1
+
+        expand = fxr < fsim[:, 0]
+        keep_r = ~expand & (fxr < fsim[:, -2])
+        outside = ~expand & ~keep_r & (fxr < fsim[:, -1])
+        inside = ~expand & ~keep_r & ~outside
+        second = ~keep_r & (fcalls < maxfev)
+        x2 = np.where(
+            expand[:, None],
+            (1 + rho * chi) * xbar - rho * chi * worst,
+            np.where(
+                outside[:, None],
+                (1 + psi * rho) * xbar - psi * rho * worst,
+                (1 - psi) * xbar + psi * worst,
+            ),
+        )
+        f2 = np.full(len(fxr), np.nan)
+        f2[second] = func(x2[second])
+        fcalls += second
+        take2 = second & (
+            (expand & (f2 < fxr)) | (outside & (f2 <= fxr)) | (inside & (f2 < fsim[:, -1]))
+        )
+        take_r = keep_r | (second & expand & ~take2)
+        sim[:, -1] = np.where(take2[:, None], x2, np.where(take_r[:, None], xr, worst))
+        fsim[:, -1] = np.where(take2, f2, np.where(take_r, fxr, fsim[:, -1]))
+
+        shrink = np.flatnonzero(second & ~expand & ~take2)
+        if shrink.size:
+            low = sim[shrink, :1]
+            moved = low + sigma * (sim[shrink, 1:] - low)
+            # Vertex j is moved, then evaluated; at the cap the vertex
+            # already moved keeps its old value and the rest stay put.
+            budget = (maxfev - fcalls[shrink])[:, None]
+            j = np.arange(n)[None, :]
+            evaluate = j < budget
+            sim[shrink, 1:] = np.where((j <= budget)[:, :, None], moved, sim[shrink, 1:])
+            values = fsim[shrink, 1:]
+            values[evaluate] = func(moved[evaluate])
+            fsim[shrink, 1:] = values
+            fcalls[shrink] += evaluate.sum(axis=1)
+
+        sim, fsim = _sort_simplices(sim, fsim)
+        iterations += 1
+    return final_sim, final_fsim
 
 
 def optimize_phases(
@@ -440,21 +523,24 @@ def optimize_phases(
     restarts: int = 5,
     seed: int = 0,
     tol: float = 1e-10,
-    on_iteration: Callable[[int, PhaseSettings, float], None] | None = None,
 ) -> tuple[PhaseSettings, float]:
     """Best-found phases and Bell value for a binning preset.
 
     A coarse grid over [0, window)^4 (grid_points per axis) seeds a
-    Nelder-Mead refinement, followed by seeded random restarts.  window=2.0
+    Nelder-Mead refinement, together with seeded random restarts.  window=2.0
     matches the period-2 structure of the even-d parity landscape; pass
     window=d to search one full period of any binning (the kernel has exact
-    period d in every offset).  The returned value is re-evaluated through
-    the direct inner-product path, so it is a genuine lower bound on the
+    period d in every offset).  All restarts + 1 starts run in lockstep, one
+    batched kernel call per simplex stage; each start takes the same path,
+    bit for bit, as scipy.optimize.minimize(method="Nelder-Mead") with
+    xatol = fatol = tol, maxiter 4000 and maxfev 8000, because the simplex
+    arithmetic is scipy's and a batched objective value equals the
+    single-point one.  The returned value is re-evaluated through the
+    direct inner-product path, so it is a genuine lower bound on the
     quantum maximum.  Ties on the grid resolve to the lexicographically
-    smallest phase tuple; identical inputs and seed give identical output.
+    smallest phase tuple, and a later start replaces the best only if it is
+    strictly better; identical inputs and seed give identical output.
     """
-    from scipy.optimize import minimize
-
     if isinstance(preset, str):
         preset = BinningPreset(preset, d)
     if preset.d != d:
@@ -486,28 +572,16 @@ def optimize_phases(
     i1, i2, j1, j2 = np.unravel_index(flat_best, table.shape)
     best_x = np.array([g[i1], g[i2], g[j1], g[j2]])
     best_val = float(table[i1, i2, j1, j2])
-    iteration = 0
-    if on_iteration is not None:
-        on_iteration(iteration, PhaseSettings(*best_x), best_val)
-
-    def refine(x0: np.ndarray) -> tuple[np.ndarray, float]:
-        res = minimize(
-            lambda x: -objective(x),
-            x0,
-            method="Nelder-Mead",
-            options={"xatol": tol, "fatol": tol, "maxiter": 4000, "maxfev": 8000},
-        )
-        return res.x, float(-res.fun)
 
     rng = np.random.default_rng(seed)
-    starts = [best_x] + [rng.uniform(0.0, window, size=4) for _ in range(restarts)]
-    for x0 in starts:
-        x, val = refine(x0)
-        iteration += 1
+    starts = np.vstack([best_x, rng.uniform(0.0, window, size=(restarts, 4))])
+    sim, fsim = _nelder_mead_lockstep(
+        lambda x: -objective(x), starts, tol=tol, maxiter=_NM_MAXITER, maxfev=_NM_MAXFEV
+    )
+    for x, fun in zip(sim[:, 0], fsim.min(axis=1)):
+        val = float(-fun)
         if val > best_val:
             best_x, best_val = x, val
-        if on_iteration is not None:
-            on_iteration(iteration, PhaseSettings(*x), val)
 
     phases = PhaseSettings(*best_x).reduced(d)
     return phases, bell_expectation(d, coeffs, phases, method="direct")

@@ -20,7 +20,6 @@ from binned_bell.cv import (
     TruncatedTmss,
     _annihilation,
     _DisplacementTables,
-    _RealDisplacementTables,
     bw_bell_value,
     bw_displaced_parity_max,
     cv_bell_expectation,
@@ -209,7 +208,7 @@ class TestDisplacedParity:
     def test_correlations_bounded_by_one(self):
         rng = np.random.default_rng(8)
         cutoff = required_fock_cutoff(0.8)
-        tables = _RealDisplacementTables(cutoff, 0.8)
+        tables = _DisplacementTables(cutoff, 0.8)
         alphas = rng.uniform(-1, 1, size=6)
         table = tables.correlation_table(alphas, alphas)
         assert np.max(np.abs(table)) <= 1.0 + 1e-12
@@ -217,7 +216,7 @@ class TestDisplacedParity:
     def test_fast_tables_match_definition_route(self):
         r = 0.9
         cutoff = required_fock_cutoff(r)
-        tables = _RealDisplacementTables(cutoff, r)
+        tables = _DisplacementTables(cutoff, r)
         rng = np.random.default_rng(14)
         for _ in range(5):
             x = rng.uniform(-0.8, 0.8, size=4)

@@ -3,15 +3,21 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import binned_bell
+from binned_bell import cli, qudit
 from binned_bell.lr_polytope import CoefficientTensor, build_coefficients
 from binned_bell.qudit import (
     SQRT8,
     BinningPreset,
     _KernelObjective,
+    _nelder_mead_lockstep,
     MeasurementBasis,
     PhaseSettings,
     bell_expectation,
@@ -24,9 +30,7 @@ from binned_bell.qudit import (
     operator_identity_residual,
     optimize_phases,
     probability_kernel,
-    sine_series_diagnostic,
     t1_cosine_form,
-    verify_operator_identity,
 )
 
 OPTIMAL_PHASES = PhaseSettings(0.0, 0.5, -0.25, 0.25)
@@ -120,15 +124,6 @@ class TestProbabilities:
             kernel = bell_expectation(d, coeffs, phases, method="kernel")
             assert abs(direct - kernel) < 1e-10
 
-    def test_first_power_sine_form_is_not_the_kernel(self):
-        # The unsquared-sine variant is kept only as a diagnostic: it is not
-        # a probability and disagrees with the Bell sum by O(1).
-        d = 4
-        phases = PhaseSettings(0.3, 0.7, 0.1, 0.9)
-        direct = bell_expectation(d, t1_coeffs(d), phases)
-        diagnostic = sine_series_diagnostic(d, t1_coeffs(d), phases)
-        assert abs(diagnostic - direct) > 0.1
-
 
 class TestChshReduction:
     def test_optimal_value_is_two_sqrt_two(self):
@@ -208,10 +203,6 @@ class TestOperatorIdentity:
             spec = random_preset_free_spec(rng, d)
             residual = operator_identity_residual(spec, random_phases(rng))
             assert residual < 1e-9
-
-    def test_verify_helper(self):
-        spec = BinningPreset("t1", 4).to_binning_spec()
-        assert verify_operator_identity(4, spec, OPTIMAL_PHASES)
 
     def test_flipped_last_block_breaks_identity(self):
         """The identity pins the sign convention of the fourth block.
@@ -293,6 +284,24 @@ def per_pair_objective(objective: _KernelObjective, x: np.ndarray) -> float:
     )
 
 
+def per_pair_batch(objective: _KernelObjective, x) -> np.ndarray:
+    """per_pair_objective point by point over stacked points of shape (..., 4)."""
+    x = np.asarray(x, dtype=float)
+    values = [per_pair_objective(objective, p) for p in x.reshape(-1, 4)]
+    return np.array(values).reshape(x.shape[:-1])
+
+
+def objective_points(d: int, rng: np.random.Generator) -> np.ndarray:
+    """200 random points and 200 within 1e-12..1e-8 of integer offsets.
+
+    The near-integer offsets put every t_ab on or beside the kernel's pole
+    branch.
+    """
+    points = rng.uniform(-d, 2 * d, size=(200, 4))
+    near = rng.choice([-1.0, 1.0], size=(200, 4)) * 10.0 ** rng.uniform(-12, -8.3, size=(200, 4))
+    return np.vstack([points, rng.integers(-d, 2 * d, size=(200, 4)) + near])
+
+
 class TestKernelObjective:
     @pytest.mark.parametrize(
         "kind,d",
@@ -300,19 +309,154 @@ class TestKernelObjective:
     )
     def test_bit_identical_to_per_pair_sum(self, kind, d):
         objective = _KernelObjective(build_coefficients(BinningPreset(kind, d).to_binning_spec()))
-        rng = np.random.default_rng(d)
-        points = list(rng.uniform(-d, 2 * d, size=(200, 4)))
-        # Offsets within 1e-12..1e-8 of integers put every t_ab on or beside
-        # the kernel's pole branch.
-        for _ in range(200):
-            near = rng.choice([-1.0, 1.0], size=4) * 10.0 ** rng.uniform(-12, -8.3, size=4)
-            points.append(rng.integers(-d, 2 * d, size=4) + near)
-        for x in points:
-            assert objective(x) == per_pair_objective(objective, x)
+        points = objective_points(d, np.random.default_rng(d))
+        reference = per_pair_batch(objective, points)
+        for x, expected in zip(points, reference):
+            assert objective(x) == expected
+        # Stacked calls, as the lockstep search makes them, give the same
+        # bits as one point at a time, whatever the batch shape.
+        assert np.array_equal(objective(points), reference)
+        assert np.array_equal(objective(points[:42]), reference[:42])
+        assert np.array_equal(objective(points.reshape(20, 20, 4)), reference.reshape(20, 20))
 
     @pytest.mark.parametrize("kind,d", [("t2", 8), ("t3", 5)])
     @pytest.mark.parametrize("seed", [0, 7])
     def test_search_path_unchanged_by_fused_evaluation(self, monkeypatch, kind, d, seed):
         fused = optimize_phases(d, BinningPreset(kind, d), seed=seed)
-        monkeypatch.setattr(_KernelObjective, "__call__", per_pair_objective)
+        monkeypatch.setattr(_KernelObjective, "__call__", per_pair_batch)
         assert optimize_phases(d, BinningPreset(kind, d), seed=seed) == fused
+
+
+def scipy_nelder_mead(func, x0, *, maxiter=4000, maxfev=8000):
+    """One start of the parent search: scipy's Nelder-Mead on func.
+
+    Returns the result and every value scipy evaluated.
+    """
+    from scipy.optimize import minimize
+
+    seen = []
+
+    def recorded(x):
+        seen.append(func(x))
+        return seen[-1]
+
+    res = minimize(
+        recorded,
+        x0,
+        method="Nelder-Mead",
+        options={"xatol": 1e-10, "fatol": 1e-10, "maxiter": maxiter, "maxfev": maxfev},
+    )
+    return res, seen
+
+
+def assert_lockstep_matches_scipy(func, starts, sim, fsim, **caps) -> set[str]:
+    """Compare each start's final simplex, x and fun with scipy's, by ==.
+
+    Returns how scipy's runs were cut mid-iteration: a dropped expansion
+    leaves an evaluated value below the returned one, and a partial shrink
+    leaves a moved vertex whose stored value is stale.
+    """
+    cut = set()
+    for x0, s, f in zip(starts, sim, fsim):
+        res, seen = scipy_nelder_mead(func, x0, **caps)
+        ref_sim, ref_fsim = res.final_simplex
+        assert np.array_equal(s, ref_sim) and np.array_equal(f, ref_fsim), caps
+        assert np.array_equal(s[0], res.x) and f.min() == res.fun, caps
+        if seen and min(seen) < res.fun:
+            cut.add("expansion")
+        if np.any(np.isfinite(f) & (func(s) != f)):
+            cut.add("shrink")
+    return cut
+
+
+def lockstep_starts(seed: int) -> np.ndarray:
+    """A grid-like start with zero coordinates, then seeded random starts."""
+    rng = np.random.default_rng(seed)
+    return np.vstack([[0.0, 0.5, 1.25, 0.0], rng.uniform(0.0, 2.0, size=(4, 4))])
+
+
+class TestLockstepNelderMead:
+    @pytest.mark.parametrize(
+        "kind,d", [("t1", 2), ("t3", 2)] + [(k, d) for d in (5, 8, 32) for k in ("t1", "t2", "t3")]
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_every_start_matches_scipy_bit_for_bit(self, kind, d, seed):
+        objective = _KernelObjective(build_coefficients(BinningPreset(kind, d).to_binning_spec()))
+        starts = lockstep_starts(seed)
+        sim, fsim = _nelder_mead_lockstep(
+            lambda x: -objective(x), starts, tol=1e-10, maxiter=4000, maxfev=8000
+        )
+        assert_lockstep_matches_scipy(lambda x: -objective(x), starts, sim, fsim)
+
+    @pytest.mark.parametrize(
+        "func",
+        [lambda x: np.zeros(np.shape(x)[:-1]), lambda x: np.floor(2 * x).sum(axis=-1)],
+        ids=["constant", "staircase"],
+    )
+    def test_ties_resolve_like_scipy(self, func):
+        # Equal values at every vertex: scipy's argsort (not a stable sort)
+        # orders the ties, and failed contractions shrink the simplex.
+        starts = lockstep_starts(5)
+        sim, fsim = _nelder_mead_lockstep(func, starts, tol=1e-10, maxiter=4000, maxfev=8000)
+        assert_lockstep_matches_scipy(func, starts, sim, fsim)
+
+    def test_caps_cut_starts_mid_iteration_like_scipy(self, monkeypatch):
+        objective = _KernelObjective(build_coefficients(BinningPreset("t3", 5).to_binning_spec()))
+        calls = []
+
+        def recording(func, starts, **caps):
+            sim, fsim = lockstep(func, starts, **caps)
+            calls.append((starts, caps, sim, fsim))
+            return sim, fsim
+
+        lockstep = qudit._nelder_mead_lockstep
+        monkeypatch.setattr(qudit, "_nelder_mead_lockstep", recording)
+        cut = set()
+        # maxfev below the 5 initial evaluations, at every count over the
+        # first iterations (expansions) and at 137..140, where a start of
+        # this search is inside a shrink; maxiter 1 runs no iteration.
+        fevs = [*range(3, 30), *range(137, 141)]
+        for maxiter, maxfev in [(4000, f) for f in fevs] + [(1, 8000), (6, 8000)]:
+            monkeypatch.setattr(qudit, "_NM_MAXITER", maxiter)
+            monkeypatch.setattr(qudit, "_NM_MAXFEV", maxfev)
+            optimize_phases(5, "t3", seed=3)
+            starts, caps, sim, fsim = calls[-1]
+            assert (caps["maxiter"], caps["maxfev"]) == (maxiter, maxfev)
+            cut |= assert_lockstep_matches_scipy(
+                lambda x: -objective(x), starts, sim, fsim, maxiter=maxiter, maxfev=maxfev
+            )
+        assert cut == {"expansion", "shrink"}
+
+    def test_qudit_search_leaves_scipy_optimize_unloaded(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(binned_bell.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import sys; from binned_bell.qudit import optimize_phases; "
+            "optimize_phases(8, 't3'); print('scipy.optimize' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "False"
+
+
+# `scan-qudit --seed 3 --format csv` rows, one dimension per run, recorded
+# from the scipy-driven search that the lockstep search replaced.
+GOLDEN_SCAN_ROWS = {
+    ("t1", 5): "5,t1,2.634761860821528,0.63031149405095832,1.1040393386619933,0.13282458330446184,0.6065524288828581",
+    ("t1", 16): "16,t1,2.8284271247461898,0.85683287282713461,0.35683286676317993,1.3931671383652469,0.89316713577579676",
+    ("t2", 5): "5,t2,2.3023289861005587,0.18488970399540317,0.56847932379360522,4.6233154773175391,0.0069051097704184482",
+    ("t2", 16): "16,t2,2.3776412907378841,2.6057282124378416,0.20572820886473439,0.19427178900048847,0.59427178548692372",
+    ("t3", 5): "5,t3,2.0367941960810416,0.17055120124176049,2.4070966397320017,1.5213030279636057,3.7578484585764329",
+    ("t3", 16): "16,t3,2.0708002439692734,2.422743571882934,15.989506491120858,6.7169816245186951,1.1502187404992918",
+}
+
+
+@pytest.mark.parametrize("kind,d", sorted(GOLDEN_SCAN_ROWS))
+def test_scan_qudit_csv_rows_frozen(capsys, kind, d):
+    code = cli.main(["scan-qudit", "--binning", kind, "--dmin", str(d), "--dmax", str(d),
+                     "--seed", "3", "--format", "csv"])
+    assert code == 0
+    header = "d,binning,value,alpha1,alpha2,beta1,beta2"
+    assert capsys.readouterr().out == f"{header}\n{GOLDEN_SCAN_ROWS[kind, d]}\n"
