@@ -430,16 +430,22 @@ def _suite_normalization(rng, trials, mutate):
             yield f"tmss s={s} r={r!r} normalization error {state.normalization_error():.3e}"
 
 
+def _suite_coefficients(spec: lr.BinningSpec, mutate: bool) -> lr.CoefficientTensor:
+    """The spec's coefficient tensor; mutate flips the sign of its (2,2) block."""
+    coeffs = lr.build_coefficients(spec)
+    if not mutate:
+        return coeffs
+    eps = coeffs.eps.copy()
+    eps[1, 1] = -eps[1, 1]
+    return lr.CoefficientTensor(d=spec.d, eps=eps)
+
+
 def _suite_identity(rng, trials, mutate):
     for _ in range(trials):
         d = int(rng.integers(2, 11))
         spec = _random_spec(rng, d)
         phases = _random_phases(rng)
-        coeffs = lr.build_coefficients(spec)
-        if mutate:
-            eps = coeffs.eps.copy()
-            eps[1, 1] = -eps[1, 1]
-            coeffs = lr.CoefficientTensor(d=d, eps=eps)
+        coeffs = _suite_coefficients(spec, mutate)
         residual = qudit.operator_identity_residual(spec, phases, coeffs=coeffs)
         if residual > 1e-9:
             yield f"identity d={d} spec={spec} phases={phases} residual {residual:.3e}"
@@ -450,11 +456,7 @@ def _suite_norm_bound(rng, trials, mutate):
         d = int(rng.integers(2, 11))
         spec = _random_spec(rng, d)
         phases = _random_phases(rng)
-        coeffs = lr.build_coefficients(spec)
-        if mutate:
-            eps = coeffs.eps.copy()
-            eps[1, 1] = -eps[1, 1]
-            coeffs = lr.CoefficientTensor(d=d, eps=eps)
+        coeffs = _suite_coefficients(spec, mutate)
         operator = qudit.build_bell_operator(d, coeffs, phases)
         norm = operator.spectral_norm()
         if norm > qudit.SQRT8 + 1e-9:

@@ -20,9 +20,9 @@ Tightness of B <= 2 on the LR polytope is certified by the rank of the
 maximizers' extremal 0/1 vectors.  A facet needs rank 4d(d-1); the count of
 maximizing assignments (closed form m_formula) reaching that threshold is
 only a necessary condition.  The rank is found modulo a prime, which stops
-as soon as it reaches the geometric upper bound, and by exact integer
-elimination only when the modular rank falls short.  Rank computations never
-touch floating point.
+as soon as it reaches the geometric upper bound; a shortfall is proven from
+above by the lifted null space of the reduced basis.  Rank computations
+never touch floating point.
 """
 
 from __future__ import annotations
@@ -30,23 +30,19 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterable, Iterator
 
 import numpy as np
 
 DEFAULT_ENUMERATION_LIMIT = 32
 
-# int64 products in row elimination stay below this before the arbitrary
-# precision fallback kicks in.
-_INT64_SAFE = 2**62
-_NORMALISE_ABOVE = 2**20
-
 # Modulus of the modular rank: a product of two residues stays below 2**62,
 # so int64 arithmetic never overflows.
 _PRIME = 2**31 - 1
 # Maximizers reduced per batch by the modular rank.
 _CHUNK_ROWS = 32
+# Maximizers checked per batch against the lifted null space.
+_CHECK_ROWS = 1024
 
 
 class EnumerationLimitError(ValueError):
@@ -255,7 +251,10 @@ class ExtremalVector:
 
     @classmethod
     def from_config(cls, d: int, config: DeterministicConfig) -> "ExtremalVector":
-        return cls(d, _extremal_components(d, config.k1, config.k2, config.l1, config.l2))
+        components = np.zeros(4 * d * d, dtype=np.int64)
+        columns = _extremal_columns(d, np.array([config.k1, config.k2, config.l1, config.l2]))
+        components[list(columns)] = 1
+        return cls(d, components)
 
 
 def _extremal_columns(d: int, configs: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -263,101 +262,6 @@ def _extremal_columns(d: int, configs: np.ndarray) -> tuple[np.ndarray, ...]:
     k1, k2, l1, l2 = np.asarray(configs).T
     dd = d * d
     return (k1 * d + l1, dd + k1 * d + l2, 2 * dd + k2 * d + l1, 3 * dd + k2 * d + l2)
-
-
-def _extremal_components(d: int, k1: int, k2: int, l1: int, l2: int) -> np.ndarray:
-    g = np.zeros(4 * d * d, dtype=np.int64)
-    g[list(_extremal_columns(d, np.array([k1, k2, l1, l2])))] = 1
-    return g
-
-
-def _gcd_normalise(row: np.ndarray) -> np.ndarray:
-    """Divide a row by the gcd of its entries (sign-preserving)."""
-    if row.dtype == object:
-        g = 0
-        for v in row:
-            g = gcd(g, abs(int(v)))
-            if g == 1:
-                break
-        if g > 1:
-            row = row // g
-        if max(abs(int(v)) for v in row) < _INT64_SAFE:
-            row = row.astype(np.int64)
-        return row
-    g = int(np.gcd.reduce(np.abs(row)))
-    if g > 1:
-        row = row // g
-    return row
-
-
-def _combine(ca: int, row: np.ndarray, cb: int, piv: np.ndarray) -> np.ndarray:
-    """Exact integer row combination ca*row - cb*piv, overflow-safe."""
-    ca, cb = int(ca), int(cb)
-    if row.dtype == object or piv.dtype == object:
-        return row.astype(object) * ca - piv.astype(object) * cb
-    bound = abs(ca) * int(np.abs(row).max(initial=0)) + abs(cb) * int(
-        np.abs(piv).max(initial=0)
-    )
-    if bound >= _INT64_SAFE:
-        return row.astype(object) * ca - piv.astype(object) * cb
-    return ca * row - cb * piv
-
-
-class ExactIntegerRank:
-    """Streaming exact rank of integer rows, no floating point anywhere.
-
-    Rows are reduced against stored pivot rows by cross-multiplied integer
-    combinations (fraction-free elimination); rows are rescaled by their gcd
-    to bound growth and arithmetic falls back to arbitrary precision if a
-    combination could overflow int64.  Feeding rows in a fixed order makes
-    the reduction deterministic.
-    """
-
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self._pivots: dict[int, np.ndarray] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self._pivots)
-
-    def add(self, row: np.ndarray) -> bool:
-        """Reduce a row into the basis; True if it increased the rank."""
-        row = np.asarray(row)
-        if row.shape != (self.ncols,):
-            raise ValueError(f"row must have length {self.ncols}")
-        if row.dtype == object:
-            values = [operator.index(v) for v in row]
-            if max((abs(v) for v in values), default=0) < _INT64_SAFE:
-                row = np.array(values, dtype=np.int64)
-            else:
-                row = np.array(values, dtype=object)
-        elif np.issubdtype(row.dtype, np.integer):
-            row = np.array(row, dtype=np.int64, copy=True)
-        else:
-            raise ValueError("rank rows must be integer-valued")
-        while True:
-            nz = np.flatnonzero(row)
-            if nz.size == 0:
-                return False
-            lead = int(nz[0])
-            piv = self._pivots.get(lead)
-            if piv is None:
-                self._pivots[lead] = _gcd_normalise(row)
-                return True
-            row = _combine(piv[lead], row, row[lead], piv)
-            if row.dtype == object or np.abs(row).max(initial=0) > _NORMALISE_ABOVE:
-                row = _gcd_normalise(row)
-
-
-def exact_rank(rows: Iterable[np.ndarray], ncols: int) -> int:
-    """Exact integer rank of an iterable of rows."""
-    elim = ExactIntegerRank(ncols)
-    for row in rows:
-        if elim.rank == ncols:
-            break
-        elim.add(row)
-    return elim.rank
 
 
 def _clear_column(block: np.ndarray, col: int, row: np.ndarray, support: np.ndarray) -> None:
@@ -369,13 +273,14 @@ def _clear_column(block: np.ndarray, col: int, row: np.ndarray, support: np.ndar
 
 
 def _modular_rank(configs: np.ndarray, d: int, bound: int) -> int:
-    """Rank over GF(p) of the configs' extremal vectors, stopping at bound.
+    """Rank over Q of the configs' extremal vectors, found mod p, stopping at bound.
 
     The basis is kept in reduced row echelon form, so a fresh 0/1 row is
     reduced by subtracting the basis rows of its (at most four) pivot
     columns.  Rows are built and reduced a chunk at a time and visited in a
     fixed spread-out order: the rank does not depend on the order, but how
-    soon it reaches the bound does.
+    soon it reaches the bound does.  A rank short of the bound is proven
+    from above by _check_null_space.
     """
     ncols = 4 * d * d
     # The extra zero row stands in for the basis row of a non-pivot column.
@@ -406,7 +311,37 @@ def _modular_rank(configs: np.ndarray, d: int, bound: int) -> int:
             basis[rank] = row
             row_of_pivot[col] = rank
             rank += 1
+    if rank < bound:
+        _check_null_space(configs, d, basis[:rank], row_of_pivot)
     return rank
+
+
+def _check_null_space(
+    configs: np.ndarray, d: int, basis: np.ndarray, row_of_pivot: np.ndarray
+) -> None:
+    """Prove rank over Q <= len(basis), or raise ArithmeticError.
+
+    basis is the reduced row echelon basis mod p of every config's row, and
+    row_of_pivot[c] its row pivoting on column c (len(basis) or more if none).
+    For each non-pivot column f, y_f = e_f - sum_i basis[i, f] e_pivot(i),
+    lifted to symmetric residues |y| < p/2, must be annihilated by every row
+    exactly; four entries sum below 2^32, so int64 cannot overflow.  These
+    unit vectors on the non-pivot columns are independent.
+    """
+    rank = basis.shape[0]
+    is_pivot = row_of_pivot < rank
+    free = np.flatnonzero(~is_pivot)
+    half = _PRIME // 2
+    lifted = np.zeros((row_of_pivot.size, free.size), dtype=np.int64)
+    lifted[free, np.arange(free.size)] = 1
+    lifted[is_pivot] = (half - basis[row_of_pivot[is_pivot]][:, free]) % _PRIME - half
+    for start in range(0, configs.shape[0], _CHECK_ROWS):
+        c0, c1, c2, c3 = _extremal_columns(d, configs[start:start + _CHECK_ROWS])
+        if (lifted[c0] + lifted[c1] + lifted[c2] + lifted[c3]).any():
+            raise ArithmeticError(
+                f"d={d}: the null space of the rank-{rank} basis mod {_PRIME} does "
+                f"not lift to exact annihilators; the rank over Q is unproven"
+            )
 
 
 @dataclass(frozen=True)
@@ -461,8 +396,10 @@ def tightness_certificate(
     assignment is not a maximizer the maximizers lie on a proper face, of
     rank at most 4d(d-1).  The rank is computed over GF(p), p = 2^31 - 1,
     stopping at the bound; a rank over GF(p) never exceeds the rank over Q,
-    so reaching the bound proves the exact rank.  Only when it falls short
-    does an exact integer elimination over all maximizers give the rank.
+    so reaching the bound proves the exact rank.  A shortfall r is proven
+    from above: the mod-p null space of the maximizers, lifted to integers,
+    gives n - r independent vectors that every maximizer must annihilate
+    exactly, or the call raises ArithmeticError.
 
     is_tight_by_count compares the exact count against the facet threshold
     4d(d-1) and is only a necessary condition: specs with empty subsets
@@ -477,8 +414,6 @@ def tightness_certificate(
     threshold = facet_threshold(d)
     bound = (2 * d - 1) ** 2 if m_counted == d**4 else threshold
     rank = _modular_rank(configs, d, bound)
-    if rank < bound:
-        rank = exact_rank((_extremal_components(d, *map(int, c)) for c in configs), 4 * d * d)
     return TightnessReport(
         lr_max=lr_max(coeffs, limit=limit),
         m_counted=m_counted,

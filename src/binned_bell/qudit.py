@@ -34,7 +34,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .lr_polytope import BinningSpec, CoefficientTensor, build_coefficients
+from .lr_polytope import BinningSpec, CoefficientTensor, build_coefficients, zeta
 
 DEFAULT_OPERATOR_LIMIT = 64
 
@@ -318,8 +318,6 @@ def build_bell_operator(
 
 def binned_observable(d: int, offset: float, subset: Iterable[int]) -> np.ndarray:
     """±1 observable sum_k zeta(k) |k><k| in the offset Fourier basis."""
-    from .lr_polytope import zeta
-
     u = fourier_basis(d, offset)
     z = zeta(subset, d).astype(float)
     return (u * z) @ u.conj().T

@@ -1,4 +1,4 @@
-"""Enumeration, closed-form counting, and exact-rank certificates."""
+"""Enumeration, closed-form counting, and two-sided rank certificates."""
 
 from __future__ import annotations
 
@@ -7,17 +7,16 @@ import itertools
 import numpy as np
 import pytest
 
+from binned_bell import lr_polytope
 from binned_bell.lr_polytope import (
     BinningSpec,
     CoefficientTensor,
     DeterministicConfig,
     EnumerationLimitError,
-    ExactIntegerRank,
     ExtremalVector,
     build_coefficients,
     count_max_configs,
     deterministic_value,
-    exact_rank,
     facet_threshold,
     iter_max_configs,
     lr_max,
@@ -25,6 +24,7 @@ from binned_bell.lr_polytope import (
     tightness_certificate,
     zeta,
 )
+from reference_rank import ExactIntegerRank
 
 # Frozen enumeration oracles: (spec, lr_max, maximizer count, linear rank).
 # Counts and ranks come from independent brute-force enumeration; the rank
@@ -40,9 +40,9 @@ ORACLES = [
 ]
 
 
-def random_spec(rng: np.random.Generator, d: int) -> BinningSpec:
+def random_spec(rng: np.random.Generator, d: int, min_size: int = 1) -> BinningSpec:
     def subset() -> tuple[int, ...]:
-        size = int(rng.integers(1, d))
+        size = int(rng.integers(min_size, d))
         return tuple(sorted(rng.choice(d, size=size, replace=False).tolist()))
 
     return BinningSpec(d=d, r1=subset(), r2=subset(), s1=subset(), s2=subset())
@@ -163,37 +163,6 @@ class TestMaximizerCounting:
             count_max_configs(build_coefficients(T1(6)), limit=4)
 
 
-class TestExactRank:
-    def test_identity_rank(self):
-        rows = [np.eye(4, dtype=np.int64)[i] for i in range(4)]
-        assert exact_rank(rows, 4) == 4
-
-    def test_dependent_rows_do_not_raise_rank(self):
-        rows = [np.array([1, 2, 3]), np.array([2, 4, 6]), np.array([0, 1, 1])]
-        assert exact_rank(rows, 3) == 2
-
-    def test_add_reports_whether_row_was_independent(self):
-        elim = ExactIntegerRank(3)
-        assert elim.add(np.array([1, 1, 0]))
-        assert not elim.add(np.array([2, 2, 0]))
-        assert elim.add(np.array([0, 0, 5]))
-        assert elim.rank == 2
-
-    def test_huge_integers_are_exact(self):
-        # Entries beyond int64 must flow through the arbitrary-precision
-        # path without wrapping; both matrices are rigged so any overflow
-        # would change the rank.
-        assert exact_rank([np.array([2**70, 1], dtype=object),
-                           np.array([2**70, 2], dtype=object)], 2) == 2
-        assert exact_rank([np.array([2**70, 2**70], dtype=object),
-                           np.array([1, 1], dtype=object)], 2) == 1
-
-    def test_near_int64_boundary(self):
-        big = 2**62 - 1
-        rows = [np.array([big, big - 1]), np.array([big - 1, big])]
-        assert exact_rank(rows, 2) == 2
-
-
 class TestExtremalVectors:
     def test_one_entry_per_block(self):
         vec = ExtremalVector.from_config(3, DeterministicConfig(0, 1, 2, 0))
@@ -250,13 +219,42 @@ class TestTightnessCertificate:
         return elim.rank
 
     def test_ranks_match_exact_stream_on_random_specs(self):
-        rng = np.random.default_rng(13)
-        for d in range(2, 7):
-            for _ in range(3):
-                spec = random_spec(rng, d)
-                report = tightness_certificate(spec)
-                rank = self.reference_rank(spec)
-                assert (report.linear_rank, report.affine_rank) == (rank, rank), spec
+        # With sizes 0..d-1 many specs fall short of the facet bound, so
+        # their rank is proven from above by the lifted null space.
+        shortfalls = 0
+        for seed, min_size in ((13, 1), (17, 0)):
+            rng = np.random.default_rng(seed)
+            for d in range(2, 7):
+                for _ in range(3):
+                    spec = random_spec(rng, d, min_size)
+                    report = tightness_certificate(spec)
+                    rank = self.reference_rank(spec)
+                    assert (report.linear_rank, report.affine_rank) == (rank, rank), spec
+                    shortfalls += rank < report.threshold
+        assert shortfalls > 0
+
+    def test_unproven_rank_raises(self, monkeypatch):
+        # Modulo 2 the lift to symmetric residues loses the signs of the null
+        # space, so the exact check fails and no rank may be reported.
+        monkeypatch.setattr(lr_polytope, "_PRIME", 2)
+        with pytest.raises(ArithmeticError):
+            tightness_certificate(BinningSpec(d=3, r1=(1,), r2=(), s1=(), s2=()))
+
+    def test_every_free_column_is_checked(self):
+        # A claimed basis that pivots on three of a row's four ones misses
+        # one direction.  Only the annihilator of the fourth column exposes
+        # it, so the check must raise wherever that column sits.
+        d = 2
+        ncols = 4 * d * d
+        for config in itertools.product(range(d), repeat=4):
+            columns = [int(c[0]) for c in lr_polytope._extremal_columns(d, np.array([config]))]
+            for free in columns:
+                pivots = [c for c in columns if c != free]
+                basis = np.eye(ncols, dtype=np.int64)[pivots]
+                row_of_pivot = np.full(ncols, len(pivots))
+                row_of_pivot[pivots] = np.arange(len(pivots))
+                with pytest.raises(ArithmeticError):
+                    lr_polytope._check_null_space(np.array([config]), d, basis, row_of_pivot)
 
     @pytest.mark.parametrize("spec,rank", [
         # Passes the count (54 >= 24) but is not a facet.
