@@ -98,6 +98,10 @@ def emit(payload, fmt: str, out_path: str | None) -> None:
         text = records_to_csv(records)
     else:
         text = to_json_text(payload) + "\n"
+    _write_text(text, out_path)
+
+
+def _write_text(text: str, out_path: str | None) -> None:
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
     else:
@@ -108,35 +112,17 @@ def emit(payload, fmt: str, out_path: str | None) -> None:
 # ---------------------------------------------------------------------------
 # Config file and argument plumbing
 
-# Converters for keys a config file may default; flags always win.
-_CONFIG_TYPES = {
-    "format": str,
-    "out": str,
-    "seed": int,
-    "guard_d": int,
-    "binning": str,
-    "preset": str,
-    "dmin": int,
-    "dmax": int,
-    "d": int,
-    "window": float,
-    "grid_points": int,
-    "restarts": int,
-    "s": int,
-    "smax": int,
-    "rmin": float,
-    "rmax": float,
-    "steps": int,
-    "delta": str,
-    "trials": int,
-    "r1": str,
-    "r2": str,
-    "s1": str,
-    "s2": str,
-}
+def _config_types(subparser: argparse.ArgumentParser) -> dict[str, type]:
+    """Config keys a subcommand accepts and their converters: every
+    single-value option except --config.  Flags always win over the file."""
+    return {
+        action.dest: action.type or str
+        for action in subparser._actions
+        if action.option_strings and action.nargs is None and action.dest != "config"
+    }
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str, types: dict[str, type]) -> dict:
     values = {}
     with open(path, "r", encoding="ascii") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -147,9 +133,9 @@ def load_config(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in _CONFIG_TYPES:
+            if key not in types:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _CONFIG_TYPES[key](value.strip())
+            values[key] = types[key](value.strip())
     return values
 
 
@@ -517,12 +503,7 @@ def cmd_certify(args, parser: argparse.ArgumentParser) -> int:
         f"{'FAIL' if failures else 'PASS'}: {len(_SUITES)} suites, "
         f"{args.trials} trials each, {failures} counterexamples"
     )
-    text = "\n".join(lines) + "\n"
-    if args.out is None or args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="ascii") as handle:
-            handle.write(text)
+    _write_text("\n".join(lines) + "\n", args.out)
     return 1 if failures else 0
 
 
@@ -533,19 +514,6 @@ _COMMANDS = {
     "threshold": cmd_threshold,
     "certify": cmd_certify,
 }
-
-_GLOBAL_KEYS = frozenset({"out", "format", "seed", "guard_d"})
-
-# Config keys each subcommand accepts; other keys in the file are treated
-# as defaults for sibling subcommands and ignored.
-_COMMAND_KEYS = {
-    "scan-qudit": _GLOBAL_KEYS | {"binning", "dmin", "dmax", "window", "grid_points", "restarts"},
-    "tightness": _GLOBAL_KEYS | {"d", "preset", "r1", "r2", "s1", "s2"},
-    "scan-cv": _GLOBAL_KEYS | {"s", "rmin", "rmax", "steps"},
-    "threshold": _GLOBAL_KEYS | {"smax", "delta"},
-    "certify": _GLOBAL_KEYS | {"trials"},
-}
-
 
 def _extract_config_path(argv: list[str]) -> str | None:
     for i, token in enumerate(argv):
@@ -565,14 +533,14 @@ def main(argv: list[str] | None = None) -> int:
     config_path = _extract_config_path(argv)
     command = next((token for token in argv if token in subparsers), None)
     if config_path is not None and command is not None:
+        # Keys of sibling subcommands are valid in the file and ignored here.
+        known = _config_types(subparsers[command])
+        types = {k: t for p in subparsers.values() for k, t in _config_types(p).items()}
         try:
-            config = load_config(config_path)
+            config = load_config(config_path, types)
         except (OSError, ValueError) as exc:
             parser.error(str(exc))
-        known = _COMMAND_KEYS[command]
-        subparsers[command].set_defaults(
-            **{k: v for k, v in config.items() if k in known}
-        )
+        subparsers[command].set_defaults(**{k: v for k, v in config.items() if k in known})
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args, parser)

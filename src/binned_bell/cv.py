@@ -49,6 +49,8 @@ import warnings
 
 import numpy as np
 
+from ._nelder_mead import _nelder_mead_lockstep
+
 SQRT8 = 2.0 * math.sqrt(2.0)
 
 # Default probability mass the two-mode squeezed state may carry beyond the
@@ -348,6 +350,13 @@ def required_fock_cutoff(r: float, tail_mass: float = DEFAULT_TAIL_MASS) -> int:
     t = math.tanh(r)
     if t == 0.0:
         return 0
+    if t == 1.0:
+        # No cutoff bounds a tail that rounds to 1; bisect for the last r below.
+        lo, hi = 0.0, r
+        while lo < (mid := (lo + hi) / 2) < hi:
+            lo, hi = (mid, hi) if math.tanh(mid) < 1.0 else (lo, mid)
+        raise ValueError(f"tanh({r}) rounds to 1 and no cutoff bounds the tail; "
+                         f"the largest usable r is {lo!r}")
     cutoff = math.ceil(math.log(tail_mass) / (2.0 * math.log(t)) - 1.0)
     cutoff = max(cutoff, 0)
     while tmss_tail_mass(cutoff, r) >= tail_mass:
@@ -416,7 +425,8 @@ class _DisplacementTables:
         u_p(alpha) = exp(-2i alpha mu_p),  W = |Phi^T diag(c) Phi|^2,
 
     so a full displacement-grid correlation table is a single matrix
-    product after one eigendecomposition.
+    product after one eigendecomposition.  bell_value takes a batch of
+    points, real ones by u W v and complex ones through D(2 alpha).
     """
 
     def __init__(self, cutoff_fock: int, r: float):
@@ -433,26 +443,36 @@ class _DisplacementTables:
         self.weights = (np.abs(g) ** 2).astype(complex)
 
     def displacements(self, alphas: np.ndarray) -> np.ndarray:
-        """D(2 alpha) for each alpha, stacked along the first axis."""
-        rotation = np.exp(1j * np.outer(np.angle(alphas), self.levels))
-        spectrum = np.exp(-2j * np.outer(np.abs(alphas), self.mu))
-        radial = (self.phi * spectrum[:, None, :]) @ self.phi.conj().T
-        return rotation[:, :, None] * radial * rotation.conj()[:, None, :]
+        """D(2 alpha) for each alpha, of shape alphas.shape + (dim, dim)."""
+        alphas = np.asarray(alphas)[..., None]
+        rotation = np.exp(1j * (np.angle(alphas) * self.levels))
+        spectrum = np.exp(-2j * (np.abs(alphas) * self.mu))
+        radial = (self.phi * spectrum[..., None, :]) @ self.phi.conj().T
+        return rotation[..., :, None] * radial * rotation.conj()[..., None, :]
 
     def correlation_table(self, alphas: np.ndarray, betas: np.ndarray) -> np.ndarray:
-        """E(alpha_i, beta_j); all-real displacements take the u W v product."""
-        if np.isrealobj(alphas) and np.isrealobj(betas):
-            u = np.exp(-2j * np.outer(alphas, self.mu))
-            v = np.exp(-2j * np.outer(betas, self.mu))
-            return np.real(u @ self.weights @ v.T)
-        d = self.displacements(np.concatenate([alphas, betas]))
-        da, db = self.schmidt_weights * d[: len(alphas)], d[len(alphas) :]
-        return np.real(da.reshape(len(da), -1) @ db.reshape(len(db), -1).T)
+        """E(alpha_i, beta_j) for real displacements, by the u W v product."""
+        u = np.exp(-2j * np.outer(alphas, self.mu))
+        v = np.exp(-2j * np.outer(betas, self.mu))
+        return np.real(u @ self.weights @ v.T)
 
-    def bell_value(self, x: np.ndarray) -> float:
-        """Bell value at displacements x = (alpha, alpha', beta, beta')."""
-        table = self.correlation_table(x[:2], x[2:])
-        return float(table[0, 0] + table[0, 1] + table[1, 0] - table[1, 1])
+    def bell_value(self, x: np.ndarray) -> np.ndarray:
+        """Bell values at displacements x[..., :] = (alpha, alpha', beta, beta').
+
+        Every product is a stacked matmul with one point per slice, so a
+        value does not depend on the batch around it.
+        """
+        x = np.asarray(x)
+        if np.iscomplexobj(x):
+            d = self.displacements(x)
+            da = (self.schmidt_weights * d[..., :2, :, :]).reshape(x.shape[:-1] + (2, -1))
+            db = d[..., 2:, :, :].reshape(x.shape[:-1] + (2, -1))
+            table = np.real(da @ np.swapaxes(db, -1, -2))
+        else:
+            u = np.exp(-2j * (x[..., :2, None] * self.mu))
+            v = np.exp(-2j * (x[..., 2:, None] * self.mu))
+            table = np.real(u @ self.weights @ np.swapaxes(v, -1, -2))
+        return table[..., 0, 0] + table[..., 0, 1] + table[..., 1, 0] - table[..., 1, 1]
 
 
 def bw_bell_value(
@@ -505,6 +525,17 @@ def _grid_start(
     return grid[np.array(np.unravel_index(np.argmax(combo), combo.shape))]
 
 
+def _search_displacements(params: np.ndarray, anchor_zero: bool, is_complex: bool) -> np.ndarray:
+    """(alpha, alpha', beta, beta') at search parameters (..., k): k = 8 interleaves
+    real and imaginary parts, k = 2 anchors alpha = beta = 0, k = 4 is the identity."""
+    if is_complex:
+        return params[..., 0::2] + 1j * params[..., 1::2]
+    if anchor_zero:
+        zero = np.zeros(params.shape[:-1])
+        return np.stack([zero, params[..., 0], zero, params[..., 1]], axis=-1)
+    return params
+
+
 def bw_displaced_parity_max(
     cutoff_fock: int,
     r: float,
@@ -525,13 +556,14 @@ def bw_displaced_parity_max(
     first Nelder-Mead start and restarts more start at random.  anchor_zero
     restricts each party's first setting to no displacement, a strictly
     weaker arrangement.  complex_displacements frees all eight real
-    parameters and refines restarts + 1 random starts.  Both searches
-    evaluate the spectral route of _DisplacementTables (one eigh, no matrix
+    parameters and refines restarts + 1 random starts.  All starts run in
+    lockstep (_nelder_mead_lockstep), each exactly as scipy's Nelder-Mead
+    with xatol = fatol = tol and maxiter/maxfev 4000/8000 (real) or
+    6000/12000 (complex); a later start wins only if strictly better.  Each
+    round is one batched call of the spectral route (one eigh, no matrix
     exponential); the returned value is re-verified against the
     definition-level route, bw_bell_value.
     """
-    import scipy.optimize
-
     r = float(r)
     if not math.isfinite(r) or r < 0.0:
         raise ValueError(f"squeezing r must be finite and >= 0, got {r}")
@@ -548,33 +580,24 @@ def bw_displaced_parity_max(
         grid_radius = max(1.2 * math.exp(-r), 0.05)
 
     tables = _DisplacementTables(cutoff_fock, r)
-    rng = np.random.default_rng(seed)
     if complex_displacements:
-
-        def settings(params: np.ndarray) -> np.ndarray:
-            return params[0::2] + 1j * params[1::2]
-
         starts, size, count, maxiter = [], 8, restarts + 1, 6000
     else:
-
-        def settings(params: np.ndarray) -> np.ndarray:
-            return np.array([0.0, params[0], 0.0, params[1]]) if anchor_zero else params
-
         starts = [_grid_start(tables, anchor_zero, grid_radius, grid_points)]
         size, count, maxiter = starts[0].size, restarts, 4000
-    starts += [rng.uniform(-grid_radius, grid_radius, size=size) for _ in range(count)]
+    rng = np.random.default_rng(seed)
+    starts += list(rng.uniform(-grid_radius, grid_radius, size=(count, size)))
 
-    value, x = -np.inf, starts[0]
-    for start in starts:
-        result = scipy.optimize.minimize(
-            lambda params: -tables.bell_value(settings(params)),
-            start,
-            method="Nelder-Mead",
-            options={"xatol": tol, "fatol": tol, "maxiter": maxiter, "maxfev": 2 * maxiter},
-        )
-        if -result.fun > value:
-            value, x = -result.fun, result.x
-    z = settings(x).astype(complex)
+    def objective(params: np.ndarray) -> np.ndarray:
+        z = _search_displacements(params, anchor_zero, complex_displacements)
+        return -tables.bell_value(z)
+
+    sim, fsim = _nelder_mead_lockstep(
+        objective, starts, tol=tol, maxiter=maxiter, maxfev=2 * maxiter
+    )
+    best = np.argmin(fsim.min(axis=1))  # first of equal values: a later start must be better
+    value, x = -fsim[best].min(), sim[best, 0]
+    z = _search_displacements(x, anchor_zero, complex_displacements).astype(complex)
     del tables  # release its dim x dim matrices before the expm route allocates
     check = bw_bell_value(cutoff_fock, r, tuple(z[:2]), tuple(z[2:]), tail_mass=tail_mass)
     if abs(check - value) > 1e-8:

@@ -34,6 +34,7 @@ from typing import Iterable
 
 import numpy as np
 
+from ._nelder_mead import _nelder_mead_lockstep
 from .lr_polytope import BinningSpec, CoefficientTensor, build_coefficients, zeta
 
 DEFAULT_OPERATOR_LIMIT = 64
@@ -401,117 +402,6 @@ _NM_MAXITER = 4000
 _NM_MAXFEV = 8000
 
 
-def _sort_simplices(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Order each start's vertices by value with np.argsort, as scipy does."""
-    ind = np.argsort(fsim, axis=1)
-    row = np.arange(len(fsim))[:, None]
-    return sim[row, ind], fsim[row, ind]
-
-
-def _nelder_mead_lockstep(
-    func, starts: np.ndarray, *, tol: float, maxiter: int, maxfev: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Minimize func from every row of starts, all starts in lockstep.
-
-    Each start follows scipy.optimize.minimize(method="Nelder-Mead") with
-    xatol = fatol = tol and the given maxiter/maxfev step for step and bit
-    for bit: the same initial simplex (1.05 x nonzero coordinates, 0.00025
-    for zeros), the same coefficient forms of the reflection, expansion,
-    contractions and shrink, the same argsort after every iteration, and
-    the same stops, including a cap hit mid-iteration (a pending expansion
-    or contraction is dropped; a shrink keeps the vertices moved so far).
-    Only the evaluation is batched: func maps points of shape (..., N) to
-    values of shape (...) and is called once per stage of an iteration for
-    all starts still running, so its value at a point must not depend on
-    the batch.
-    Returns every start's final simplex (S, N + 1, N) and its values
-    (S, N + 1), as scipy's final_simplex; scipy's x is sim[:, 0] and its
-    fun is fsim.min(axis=1).
-    """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    x0 = np.asarray(starts, dtype=float)
-    n_starts, n = x0.shape
-    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
-    diag = np.arange(n)
-    sim[:, diag + 1, diag] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
-    fsim = np.full((n_starts, n + 1), np.inf)
-    first = min(n + 1, maxfev)
-    if first > 0:
-        fsim[:, :first] = func(sim[:, :first])
-    fcalls = np.full(n_starts, first)
-    # scipy sorts once after the first evaluations and once more before the loop.
-    sim, fsim = _sort_simplices(*_sort_simplices(sim, fsim))
-    final_sim, final_fsim = np.empty_like(sim), np.empty_like(fsim)
-    # Live starts are kept compact; start[i] is the input row of live start i.
-    start = np.arange(n_starts)
-    iterations = 1  # equal for all live starts: a cut iteration ends its start
-
-    while True:
-        live = fcalls < maxfev
-        if iterations >= maxiter:
-            live[:] = False
-        elif live.any():
-            live &= ~(
-                (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= tol)
-                & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= tol)
-            )
-        if not live.all():
-            done = ~live
-            final_sim[start[done]], final_fsim[start[done]] = sim[done], fsim[done]
-            sim, fsim, fcalls, start = sim[live], fsim[live], fcalls[live], start[live]
-            if not start.size:
-                break
-
-        xbar = np.add.reduce(sim[:, :-1], 1) / n
-        worst = sim[:, -1]
-        xr = (1 + rho) * xbar - rho * worst
-        fxr = func(xr)
-        fcalls += 1
-
-        expand = fxr < fsim[:, 0]
-        keep_r = ~expand & (fxr < fsim[:, -2])
-        outside = ~expand & ~keep_r & (fxr < fsim[:, -1])
-        inside = ~expand & ~keep_r & ~outside
-        second = ~keep_r & (fcalls < maxfev)
-        x2 = np.where(
-            expand[:, None],
-            (1 + rho * chi) * xbar - rho * chi * worst,
-            np.where(
-                outside[:, None],
-                (1 + psi * rho) * xbar - psi * rho * worst,
-                (1 - psi) * xbar + psi * worst,
-            ),
-        )
-        f2 = np.full(len(fxr), np.nan)
-        f2[second] = func(x2[second])
-        fcalls += second
-        take2 = second & (
-            (expand & (f2 < fxr)) | (outside & (f2 <= fxr)) | (inside & (f2 < fsim[:, -1]))
-        )
-        take_r = keep_r | (second & expand & ~take2)
-        sim[:, -1] = np.where(take2[:, None], x2, np.where(take_r[:, None], xr, worst))
-        fsim[:, -1] = np.where(take2, f2, np.where(take_r, fxr, fsim[:, -1]))
-
-        shrink = np.flatnonzero(second & ~expand & ~take2)
-        if shrink.size:
-            low = sim[shrink, :1]
-            moved = low + sigma * (sim[shrink, 1:] - low)
-            # Vertex j is moved, then evaluated; at the cap the vertex
-            # already moved keeps its old value and the rest stay put.
-            budget = (maxfev - fcalls[shrink])[:, None]
-            j = np.arange(n)[None, :]
-            evaluate = j < budget
-            sim[shrink, 1:] = np.where((j <= budget)[:, :, None], moved, sim[shrink, 1:])
-            values = fsim[shrink, 1:]
-            values[evaluate] = func(moved[evaluate])
-            fsim[shrink, 1:] = values
-            fcalls[shrink] += evaluate.sum(axis=1)
-
-        sim, fsim = _sort_simplices(sim, fsim)
-        iterations += 1
-    return final_sim, final_fsim
-
-
 def optimize_phases(
     d: int,
     preset: BinningPreset | str,
@@ -528,12 +418,14 @@ def optimize_phases(
     Nelder-Mead refinement, together with seeded random restarts.  window=2.0
     matches the period-2 structure of the even-d parity landscape; pass
     window=d to search one full period of any binning (the kernel has exact
-    period d in every offset).  All restarts + 1 starts run in lockstep, one
-    batched kernel call per simplex stage; each start takes the same path,
-    bit for bit, as scipy.optimize.minimize(method="Nelder-Mead") with
-    xatol = fatol = tol, maxiter 4000 and maxfev 8000, because the simplex
-    arithmetic is scipy's and a batched objective value equals the
-    single-point one.  The returned value is re-evaluated through the
+    period d in every offset).  All restarts + 1 starts run in lockstep
+    through the shared Nelder-Mead (_nelder_mead_lockstep), one batched
+    kernel call per round for the points every live start asks for.  Each
+    start takes the same path, bit for bit, as
+    scipy.optimize.minimize(method="Nelder-Mead") with xatol = fatol = tol,
+    maxiter 4000 and maxfev 8000, because the simplex arithmetic is scipy's
+    and a batched objective value equals the single-point one.  The
+    returned value is re-evaluated through the
     direct inner-product path, so it is a genuine lower bound on the
     quantum maximum.  Ties on the grid resolve to the lexicographically
     smallest phase tuple, and a later start replaces the best only if it is

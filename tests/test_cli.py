@@ -184,6 +184,11 @@ class TestDeterminismAndConfig:
         assert code == 0
         assert out == ""
         assert path.read_text().startswith("s,r,closed_form,contraction\n")
+        # certify writes its text report through the same writer.
+        _, report, _ = run(capsys, "certify", "--trials", "0")
+        code, out, _ = run(capsys, "certify", "--trials", "0", "--out", str(path))
+        assert code == 0 and out == ""
+        assert path.read_bytes() == report.encode("ascii")
 
     def test_config_supplies_defaults_and_flags_win(self, capsys, tmp_path):
         config = tmp_path / "defaults.cfg"
@@ -195,6 +200,15 @@ class TestDeterminismAndConfig:
                            "--dmax", "2")
         assert code == 0
         assert out.count("\n") == 2
+
+    def test_config_keys_of_sibling_subcommands_are_ignored(self, capsys, tmp_path):
+        # One file may hold defaults for several subcommands: trials belongs
+        # to certify and smax to threshold, so scan-qudit skips them.
+        config = tmp_path / "shared.cfg"
+        config.write_text("binning=t1\ndmax=2\ngrid_points=9\ntrials=5\nsmax=3\n")
+        code, out, _ = run(capsys, "scan-qudit", "--config", str(config))
+        assert code == 0
+        assert out.startswith("d,binning,value,") and out.count("\n") == 2
 
     def test_unknown_config_key(self, capsys, tmp_path):
         config = tmp_path / "bad.cfg"
@@ -219,8 +233,8 @@ class TestDeterminismAndConfig:
 
 class TestImportCost:
     def test_package_import_leaves_scipy_unloaded(self):
-        # scipy.optimize and scipy.linalg are imported by the functions that
-        # use them, so `threshold` and `tightness` never pay for them.
+        # scipy.linalg is imported by the function that uses it, and
+        # scipy.optimize nowhere, so `threshold` and `tightness` never pay.
         src = os.path.dirname(os.path.dirname(os.path.abspath(binned_bell.__file__)))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

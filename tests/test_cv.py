@@ -238,6 +238,15 @@ class TestDisplacedParity:
         needed = required_fock_cutoff(1.5)
         with pytest.raises(FockCutoffError, match=str(needed)):
             bw_bell_value(30, 1.5, (0.0, 0.1), (0.0, 0.1))
+        # tanh(20.0) rounds to 1, so no cutoff bounds the tail: the estimate
+        # names the largest usable squeezing instead of dividing by zero.
+        for estimate in (
+            lambda: required_fock_cutoff(20.0),
+            lambda: bw_bell_value(30, 20.0, (0.0, 0.1), (0.0, 0.1)),
+            lambda: bw_displaced_parity_max(30, 20.0),
+        ):
+            with pytest.raises(ValueError, match=r"largest usable r is 19\.\d+"):
+                estimate()
 
     def test_zero_squeezing_gives_classical_bound(self):
         # Product (vacuum) state: the best the combination can do is 2.
@@ -288,6 +297,23 @@ class TestSpectralDisplacement:
             z = rng.uniform(-0.8, 0.8, size=4) + 1j * rng.uniform(-0.8, 0.8, size=4)
             reference = bw_bell_value(cutoff, r, (z[0], z[1]), (z[2], z[3]))
             assert abs(tables.bell_value(z) - reference) < 1e-10
+
+    @pytest.mark.parametrize("cutoff", [5, required_fock_cutoff(0.9)])
+    def test_batched_bell_value_equals_per_point(self, cutoff):
+        # The search evaluates a whole round of points in one call, so each
+        # value must be the bits of its point alone, whatever the batch.
+        tables = _DisplacementTables(cutoff, 0.9)
+        rng = np.random.default_rng(cutoff)
+        real = rng.uniform(-0.8, 0.8, size=(12, 4))
+        for points in (real, real + 1j * rng.uniform(-0.8, 0.8, size=(12, 4))):
+            single = np.array([tables.bell_value(x) for x in points])
+            assert np.array_equal(tables.bell_value(points), single)
+            assert np.array_equal(tables.bell_value(points[:5]), single[:5])
+            assert np.array_equal(tables.bell_value(points.reshape(3, 4, 4)), single.reshape(3, 4))
+        # Real points: the same bits as the grid route's correlation table.
+        for x, value in zip(real, tables.bell_value(real)):
+            table = tables.correlation_table(x[:2], x[2:])
+            assert value == table[0, 0] + table[0, 1] + table[1, 0] - table[1, 1]
 
     def test_real_search_values_frozen(self):
         r = 1.6

@@ -12,6 +12,7 @@ import pytest
 
 import binned_bell
 from binned_bell import cli, qudit
+from binned_bell.cv import _DisplacementTables, _search_displacements
 from binned_bell.lr_polytope import CoefficientTensor, build_coefficients
 from binned_bell.qudit import (
     SQRT8,
@@ -369,24 +370,48 @@ def assert_lockstep_matches_scipy(func, starts, sim, fsim, **caps) -> set[str]:
     return cut
 
 
-def lockstep_starts(seed: int) -> np.ndarray:
+def lockstep_starts(seed: int, n: int = 4) -> np.ndarray:
     """A grid-like start with zero coordinates, then seeded random starts."""
     rng = np.random.default_rng(seed)
-    return np.vstack([[0.0, 0.5, 1.25, 0.0], rng.uniform(0.0, 2.0, size=(4, 4))])
+    return np.vstack([np.resize([0.0, 0.5, 1.25, 0.0], n), rng.uniform(0.0, 2.0, size=(4, n))])
+
+
+# Squeezing of the displaced-parity objectives; its tail needs cutoff 14.
+CV_R = 0.5
+CV_SEARCHES = {"cv-free": (False, False, 4), "cv-anchored": (True, False, 2),
+               "cv-complex": (False, True, 8)}
+
+
+def search_objective(kind: str, d: int):
+    """The minimized objective of a search and its number of parameters.
+
+    kind t1/t2/t3 is the phase search at dimension d; a cv-* kind is the
+    displaced-parity search of that arrangement at Fock cutoff d.
+    """
+    if kind not in CV_SEARCHES:
+        objective = _KernelObjective(build_coefficients(BinningPreset(kind, d).to_binning_spec()))
+        return (lambda x: -objective(x)), 4
+    anchor_zero, complex_displacements, n = CV_SEARCHES[kind]
+    tables = _DisplacementTables(d, CV_R)
+    return (
+        lambda x: -tables.bell_value(_search_displacements(x, anchor_zero, complex_displacements))
+    ), n
 
 
 class TestLockstepNelderMead:
     @pytest.mark.parametrize(
-        "kind,d", [("t1", 2), ("t3", 2)] + [(k, d) for d in (5, 8, 32) for k in ("t1", "t2", "t3")]
+        "kind,d",
+        [("t1", 2), ("t3", 2)]
+        + [(k, d) for d in (5, 8, 32) for k in ("t1", "t2", "t3")]
+        + [(k, cutoff) for cutoff in (9, 14) for k in CV_SEARCHES],
     )
     @pytest.mark.parametrize("seed", [0, 1])
     def test_every_start_matches_scipy_bit_for_bit(self, kind, d, seed):
-        objective = _KernelObjective(build_coefficients(BinningPreset(kind, d).to_binning_spec()))
-        starts = lockstep_starts(seed)
-        sim, fsim = _nelder_mead_lockstep(
-            lambda x: -objective(x), starts, tol=1e-10, maxiter=4000, maxfev=8000
-        )
-        assert_lockstep_matches_scipy(lambda x: -objective(x), starts, sim, fsim)
+        func, n = search_objective(kind, d)
+        # Displacements near the optimum are well below 1 at this squeezing.
+        starts = lockstep_starts(seed, n) * (0.25 if kind in CV_SEARCHES else 1.0)
+        sim, fsim = _nelder_mead_lockstep(func, starts, tol=1e-10, maxiter=4000, maxfev=8000)
+        assert_lockstep_matches_scipy(func, starts, sim, fsim)
 
     @pytest.mark.parametrize(
         "func",
@@ -433,7 +458,9 @@ class TestLockstepNelderMead:
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         code = (
             "import sys; from binned_bell.qudit import optimize_phases; "
-            "optimize_phases(8, 't3'); print('scipy.optimize' in sys.modules)"
+            "from binned_bell.cv import bw_displaced_parity_max; "
+            "optimize_phases(8, 't3'); bw_displaced_parity_max(9, 0.3, restarts=1); "
+            "print('scipy.optimize' in sys.modules)"
         )
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
