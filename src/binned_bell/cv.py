@@ -37,7 +37,13 @@ H = i(a^dagger - a) = Phi mu Phi^dagger gives
 
     D(2 alpha) = (R Phi) diag(exp(-2i rho mu)) (R Phi)^dagger
 
-for every complex alpha.
+for every complex alpha.  Real displacements stay in real arithmetic.  H is
+the real symmetric a + a^dagger in disguise, i(a^dagger - a) =
+diag(i^n) (a + a^dagger) diag(i^n)^dagger, and D(2 alpha) = exp(2 alpha
+(a^dagger - a)) is a real matrix for real alpha.  With u = exp(-2i alpha mu)
+= C - iS and the real weights W = |Phi^T diag(c) Phi|^2, a correlation is
+E(alpha, beta) = C W C'^T - S W S'^T, so the real search and its seeding
+grid use real cos/sin tables and real matrix products only.
 """
 
 from __future__ import annotations
@@ -90,7 +96,12 @@ class AngleDegeneracyWarning(UserWarning):
 
 
 class FockCutoffError(ValueError):
-    """The Fock cutoff truncates non-negligible state amplitude."""
+    """The Fock cutoff truncates non-negligible state amplitude.
+
+    The message names the cutoff that would suffice; the displaced-parity
+    routes build dense (cutoff+1)^2 matrices, so they are practical up to
+    about r = 3 (see required_fock_cutoff).
+    """
 
 
 # Angle separations below this (radians) trigger AngleDegeneracyWarning.
@@ -307,7 +318,7 @@ def squeezing_threshold(s: int, delta: float) -> ViolationThreshold:
     f_value = ((SQRT8 - math.sqrt(discriminant)) / (SQRT8 - delta)) ** (2.0 / (s + 1))
     r_min = math.atanh(f_value)
     round_trip = tmss_bell_closed_form(s, r_min) - (SQRT8 - delta)
-    if abs(round_trip) > 1e-9:
+    if not abs(round_trip) <= 1e-9:
         raise ArithmeticError(
             f"threshold round trip failed for s={s}, delta={delta}: "
             f"residual {round_trip:.3e}"
@@ -341,7 +352,13 @@ def tmss_tail_mass(cutoff_fock: int, r: float) -> float:
 
 
 def required_fock_cutoff(r: float, tail_mass: float = DEFAULT_TAIL_MASS) -> int:
-    """Smallest Fock cutoff keeping the squeezed-state tail below tail_mass."""
+    """Smallest Fock cutoff keeping the squeezed-state tail below tail_mass.
+
+    The cutoff grows like exp(2r) for large r.  The displaced-parity routes
+    build dense (cutoff+1)^2 matrices, so they are practical up to about
+    r = 3 (cutoff 2,322 at the default tail mass); r = 5 already asks for
+    126,794.
+    """
     r = float(r)
     if not math.isfinite(r) or r < 0.0:
         raise ValueError(f"squeezing r must be finite and >= 0, got {r}")
@@ -372,7 +389,8 @@ def _check_fock_cutoff(cutoff_fock: int, r: float, tail_mass: float) -> int:
         raise FockCutoffError(
             f"Fock cutoff {cutoff_fock} leaves tail mass "
             f"{tmss_tail_mass(cutoff_fock, r):.3e} >= {tail_mass:.3e} at r={r}; "
-            f"use cutoff >= {required_fock_cutoff(r, tail_mass)}"
+            f"use cutoff >= {required_fock_cutoff(r, tail_mass)} (the displaced-parity "
+            f"routes build dense (cutoff+1)^2 matrices, practical up to about r = 3)"
         )
     return cutoff_fock
 
@@ -398,15 +416,20 @@ def displaced_parity_matrix(cutoff_fock: int, alpha: complex) -> np.ndarray:
     Parity anticommutes with the displacement generator even after
     truncation, so the product collapses exactly to D(2 alpha) P.  D(2 alpha)
     comes from a matrix exponential of the generator, independent of the
-    spectral route the searches use; this is the reference route.
+    spectral route the searches use; this is the reference route.  For real
+    alpha (no imaginary part) the generator 2 alpha (a^dagger - a) is real,
+    so the exponential and the returned matrix are real.
     """
     import scipy.linalg
 
     cutoff_fock = operator.index(cutoff_fock)
     if cutoff_fock < 1:
         raise ValueError(f"Fock cutoff must be >= 1, got {cutoff_fock}")
+    alpha = complex(alpha)
     a = _annihilation(cutoff_fock + 1)
-    generator = 2.0 * (alpha * a.conj().T - np.conjugate(alpha) * a)
+    generator = 2.0 * (alpha * a.T - alpha.conjugate() * a)
+    if alpha.imag == 0.0:
+        generator = generator.real
     displacement = scipy.linalg.expm(generator)
     signs = np.where(np.arange(cutoff_fock + 1) % 2 == 0, 1.0, -1.0)
     return displacement * signs
@@ -421,12 +444,13 @@ class _DisplacementTables:
     Schmidt contraction, so E(alpha, beta) = Re sum_mn c_m c_n
     D(2 alpha)_mn D(2 beta)_mn.  For real displacements (R = 1) this is
 
-        E(alpha, beta) = Re[ u(alpha)^T W v(beta) ],
-        u_p(alpha) = exp(-2i alpha mu_p),  W = |Phi^T diag(c) Phi|^2,
+        E(alpha, beta) = Re[ u(alpha)^T W v(beta) ] = C W C'^T - S W S'^T,
+        u_p(alpha) = exp(-2i alpha mu_p) = C_p - i S_p,  W = |Phi^T diag(c) Phi|^2,
 
-    so a full displacement-grid correlation table is a single matrix
-    product after one eigendecomposition.  bell_value takes a batch of
-    points, real ones by u W v and complex ones through D(2 alpha).
+    with W, C = cos(2 alpha mu) and S = sin(2 alpha mu) real, so a full
+    displacement-grid correlation table is two real matrix products after
+    one eigendecomposition.  bell_value takes a batch of points, real ones
+    through that table and complex ones through D(2 alpha).
     """
 
     def __init__(self, cutoff_fock: int, r: float):
@@ -439,8 +463,7 @@ class _DisplacementTables:
         self.phi = phi
         self.levels = np.arange(dim)
         self.schmidt_weights = np.outer(c, c)
-        # Complex once here, so u @ W does not cast W on every call.
-        self.weights = (np.abs(g) ** 2).astype(complex)
+        self.weights = np.abs(g) ** 2
 
     def displacements(self, alphas: np.ndarray) -> np.ndarray:
         """D(2 alpha) for each alpha, of shape alphas.shape + (dim, dim)."""
@@ -451,10 +474,17 @@ class _DisplacementTables:
         return rotation[..., :, None] * radial * rotation.conj()[..., None, :]
 
     def correlation_table(self, alphas: np.ndarray, betas: np.ndarray) -> np.ndarray:
-        """E(alpha_i, beta_j) for real displacements, by the u W v product."""
-        u = np.exp(-2j * np.outer(alphas, self.mu))
-        v = np.exp(-2j * np.outer(betas, self.mu))
-        return np.real(u @ self.weights @ v.T)
+        """E(alpha_i, beta_j) for real displacements, stacked over leading axes.
+
+        One product [C; S] @ W for the alphas, then C W C'^T - S W S'^T; a
+        slice's value does not depend on the stack around it.
+        """
+        a = 2.0 * (alphas[..., None] * self.mu)
+        b = 2.0 * (betas[..., None] * self.mu)
+        uw = np.concatenate([np.cos(a), np.sin(a)], axis=-2) @ self.weights
+        n = alphas.shape[-1]
+        return (uw[..., :n, :] @ np.swapaxes(np.cos(b), -1, -2)
+                - uw[..., n:, :] @ np.swapaxes(np.sin(b), -1, -2))
 
     def bell_value(self, x: np.ndarray) -> np.ndarray:
         """Bell values at displacements x[..., :] = (alpha, alpha', beta, beta').
@@ -469,9 +499,7 @@ class _DisplacementTables:
             db = d[..., 2:, :, :].reshape(x.shape[:-1] + (2, -1))
             table = np.real(da @ np.swapaxes(db, -1, -2))
         else:
-            u = np.exp(-2j * (x[..., :2, None] * self.mu))
-            v = np.exp(-2j * (x[..., 2:, None] * self.mu))
-            table = np.real(u @ self.weights @ np.swapaxes(v, -1, -2))
+            table = self.correlation_table(x[..., :2], x[..., 2:])
         return table[..., 0, 0] + table[..., 0, 1] + table[..., 1, 0] - table[..., 1, 1]
 
 
@@ -561,8 +589,10 @@ def bw_displaced_parity_max(
     with xatol = fatol = tol and maxiter/maxfev 4000/8000 (real) or
     6000/12000 (complex); a later start wins only if strictly better.  Each
     round is one batched call of the spectral route (one eigh, no matrix
-    exponential); the returned value is re-verified against the
-    definition-level route, bw_bell_value.
+    exponential), in real arithmetic for real displacements; the returned
+    value is re-verified against the definition-level route, bw_bell_value,
+    and a disagreement beyond 1e-8, or a NaN, raises ArithmeticError.
+    grid_radius and tol must be finite and positive.
     """
     r = float(r)
     if not math.isfinite(r) or r < 0.0:
@@ -574,10 +604,13 @@ def bw_displaced_parity_max(
         raise ValueError(f"restarts must be nonnegative, got {restarts}")
     if anchor_zero and complex_displacements:
         raise ValueError("anchor_zero applies to real displacements only")
+    tol = _as_positive_float(tol, "tol")
     if grid_radius is None:
         # Optimal displacements shrink roughly like exp(-r); keep the
         # seeding grid focused on that scale.
         grid_radius = max(1.2 * math.exp(-r), 0.05)
+    else:
+        grid_radius = _as_positive_float(grid_radius, "grid_radius")
 
     tables = _DisplacementTables(cutoff_fock, r)
     if complex_displacements:
@@ -597,10 +630,10 @@ def bw_displaced_parity_max(
     )
     best = np.argmin(fsim.min(axis=1))  # first of equal values: a later start must be better
     value, x = -fsim[best].min(), sim[best, 0]
-    z = _search_displacements(x, anchor_zero, complex_displacements).astype(complex)
+    z = _search_displacements(x, anchor_zero, complex_displacements)
     del tables  # release its dim x dim matrices before the expm route allocates
     check = bw_bell_value(cutoff_fock, r, tuple(z[:2]), tuple(z[2:]), tail_mass=tail_mass)
-    if abs(check - value) > 1e-8:
+    if not abs(check - value) <= 1e-8:
         raise ArithmeticError(
             f"displaced-parity spectral route disagrees with the definition route: "
             f"{value!r} vs {check!r}"

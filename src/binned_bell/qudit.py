@@ -441,6 +441,8 @@ def optimize_phases(
         raise ValueError(f"restarts must be nonnegative, got {restarts}")
     if not 0 < window <= d:
         raise ValueError(f"window must lie in (0, d], got {window}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     coeffs = build_coefficients(preset.to_binning_spec())
     objective = _KernelObjective(coeffs)
 

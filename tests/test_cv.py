@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from binned_bell import cv
 from binned_bell.lr_polytope import build_coefficients
 from binned_bell.qudit import BinningPreset, PhaseSettings, bell_expectation
 from binned_bell.cv import (
@@ -184,6 +185,11 @@ class TestThreshold:
         with pytest.raises(ValueError):
             squeezing_threshold(1, bad)
 
+    def test_nan_round_trip_fails_the_check(self, monkeypatch):
+        monkeypatch.setattr(cv, "tmss_bell_closed_form", lambda s, r: math.nan)
+        with pytest.raises(ArithmeticError, match="round trip"):
+            squeezing_threshold(9, 1e-3)
+
     @pytest.mark.parametrize("s", [1, 9, 99])
     def test_violation_boundary(self, s):
         assert abs(tmss_bell_closed_form(s, violation_boundary_r(s)) - 2.0) < 1e-12
@@ -200,6 +206,17 @@ class TestDisplacedParity:
             d_op = scipy.linalg.expm(alpha * a.conj().T - np.conjugate(alpha) * a)
             direct = d_op @ parity @ d_op.conj().T
             assert np.max(np.abs(direct - displaced_parity_matrix(cutoff, alpha))) < 1e-12
+
+    @pytest.mark.parametrize("cutoff", [5, 40])
+    def test_real_alpha_matches_complex_generator(self, cutoff):
+        # Real alpha exponentiates the real generator and returns a real matrix.
+        a = _annihilation(cutoff + 1)
+        signs = np.where(np.arange(cutoff + 1) % 2 == 0, 1.0, -1.0)
+        for alpha in (0.37, -0.8, complex(0.21), 0.0):
+            op = displaced_parity_matrix(cutoff, alpha)
+            assert op.dtype == np.float64
+            generator = 2.0 * complex(alpha) * (a.T - a).astype(complex)
+            assert np.max(np.abs(op - scipy.linalg.expm(generator) * signs)) < 1e-13
 
     def test_is_involution(self):
         op = displaced_parity_matrix(15, 0.3 - 0.2j)
@@ -298,6 +315,16 @@ class TestSpectralDisplacement:
             reference = bw_bell_value(cutoff, r, (z[0], z[1]), (z[2], z[3]))
             assert abs(tables.bell_value(z) - reference) < 1e-10
 
+    @pytest.mark.parametrize("cutoff", [5, 34, 314])
+    def test_real_points_match_complex_route(self, cutoff):
+        # The real route C W C'^T - S W S'^T against D(2 alpha) from
+        # `displacements` at the same points; 314 is the cutoff of r = 2.0.
+        tables = _DisplacementTables(cutoff, 2.0)
+        points = np.random.default_rng(cutoff).uniform(-0.8, 0.8, size=(4, 4))
+        real = tables.bell_value(points)
+        for x, value in zip(points, real):
+            assert abs(value - tables.bell_value(x.astype(complex))) < 1e-12
+
     @pytest.mark.parametrize("cutoff", [5, required_fock_cutoff(0.9)])
     def test_batched_bell_value_equals_per_point(self, cutoff):
         # The search evaluates a whole round of points in one call, so each
@@ -316,12 +343,16 @@ class TestSpectralDisplacement:
             assert value == table[0, 0] + table[0, 1] + table[1, 0] - table[1, 1]
 
     def test_real_search_values_frozen(self):
-        r = 1.6
-        cutoff = required_fock_cutoff(r)
-        free = bw_displaced_parity_max(cutoff, r, restarts=3, seed=0)
-        anchored = bw_displaced_parity_max(cutoff, r, anchor_zero=True, restarts=3, seed=0)
-        assert abs(free - 2.3229086636061798) < 1e-12
-        assert abs(anchored - 2.189941932433116) < 1e-12
+        # r = 2.0 runs at Fock dimension 315, the largest of the suite.
+        for r, free_value, anchored_value in (
+            (1.6, 2.3229086636061798, 2.189941932433116),
+            (2.0, 2.3241737345852087, 2.190427774691133),
+        ):
+            cutoff = required_fock_cutoff(r)
+            free = bw_displaced_parity_max(cutoff, r, restarts=3, seed=0)
+            anchored = bw_displaced_parity_max(cutoff, r, anchor_zero=True, restarts=3, seed=0)
+            assert abs(free - free_value) < 1e-12
+            assert abs(anchored - anchored_value) < 1e-12
 
 
 class TestDisplacedParityGuards:
@@ -345,3 +376,21 @@ class TestDisplacedParityGuards:
     def test_anchor_with_complex_displacements_rejected(self):
         with pytest.raises(ValueError, match="anchor_zero"):
             self.search(anchor_zero=True, complex_displacements=True)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -0.5, 0.0])
+    def test_grid_radius_must_be_finite_and_positive(self, radius):
+        with pytest.raises(ValueError, match="grid_radius"):
+            self.search(grid_radius=radius)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-10, 0.0])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            self.search(tol=tol)
+
+    def test_nan_from_spectral_route_fails_the_check(self, monkeypatch):
+        def nan_values(tables, x):
+            return np.full(np.shape(x)[:-1], np.nan)
+
+        monkeypatch.setattr(_DisplacementTables, "bell_value", nan_values)
+        with pytest.raises(ArithmeticError, match="disagrees"):
+            self.search(restarts=0)

@@ -265,6 +265,11 @@ class TestOptimization:
         b = optimize_phases(3, BinningPreset("t1", 3), grid_points=9, restarts=2, seed=4)
         assert a == b
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-10, 0.0])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            optimize_phases(5, "t3", tol=tol)
+
     def test_phase_reduction_preserves_value(self):
         d = 6
         coeffs = t1_coeffs(d)
