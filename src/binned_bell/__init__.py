@@ -15,13 +15,10 @@ Layers:
 from .lr_polytope import (
     BinningSpec,
     CoefficientTensor,
-    DeterministicConfig,
     EnumerationLimitError,
-    ExtremalVector,
     TightnessReport,
     build_coefficients,
     count_max_configs,
-    deterministic_value,
     facet_threshold,
     lr_max,
     m_formula,
@@ -66,13 +63,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BinningSpec",
     "CoefficientTensor",
-    "DeterministicConfig",
     "EnumerationLimitError",
-    "ExtremalVector",
     "TightnessReport",
     "build_coefficients",
     "count_max_configs",
-    "deterministic_value",
     "facet_threshold",
     "lr_max",
     "m_formula",

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 
+# scipy's xatol and fatol, the same for every search.
+_TOL = 1e-10
 
-def _nelder_mead_start(x0: np.ndarray, tol: float, maxiter: int, maxfev: int):
+
+def _nelder_mead_start(x0: np.ndarray, maxiter: int, maxfev: int):
     """scipy's Nelder-Mead from x0 as a generator of evaluation requests.
 
     A branch-for-branch copy of scipy.optimize._optimize._minimize_neldermead
-    (no bounds, not adaptive, xatol = fatol = tol).  Where scipy calls func,
+    (no bounds, not adaptive, xatol = fatol = _TOL).  Where scipy calls func,
     this yields points (k, N) and is sent their k values.  The maxfev cap
     acts like scipy's _MaxFuncCallError: a pending expansion or contraction
     is dropped, and in a shrink the vertex moved when the cap hits keeps its
@@ -30,7 +33,7 @@ def _nelder_mead_start(x0: np.ndarray, tol: float, maxiter: int, maxfev: int):
 
     iterations = 1
     while fcalls < maxfev and iterations < maxiter:
-        if np.abs(sim[1:] - sim[0]).max() <= tol and np.abs(fsim[0] - fsim[1:]).max() <= tol:
+        if np.abs(sim[1:] - sim[0]).max() <= _TOL and np.abs(fsim[0] - fsim[1:]).max() <= _TOL:
             break
         xbar = np.add.reduce(sim[:-1], 0) / n
         xr = (1 + rho) * xbar - rho * sim[-1]
@@ -78,20 +81,18 @@ def _nelder_mead_start(x0: np.ndarray, tol: float, maxiter: int, maxfev: int):
 
 
 def _nelder_mead_lockstep(
-    func, starts: np.ndarray, *, tol: float, maxiter: int, maxfev: int
+    func, starts: np.ndarray, *, maxiter: int, maxfev: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Minimize func from every row of starts, all starts in lockstep.
 
     Each start runs _nelder_mead_start, so it follows
-    scipy.optimize.minimize(method="Nelder-Mead") with xatol = fatol = tol
+    scipy.optimize.minimize(method="Nelder-Mead") with xatol = fatol = 1e-10
     bit for bit.  Each round makes one call of func, points (k, N) -> values
     (k,), on the points every live start asks for, so a value must not
     depend on the batch around it; finished starts ask for nothing.
     Returns the final simplices (S, N + 1, N) and values (S, N + 1).
     """
-    runs = [
-        _nelder_mead_start(x0, tol, maxiter, maxfev) for x0 in np.asarray(starts, dtype=float)
-    ]
+    runs = [_nelder_mead_start(x0, maxiter, maxfev) for x0 in np.asarray(starts, dtype=float)]
     results = [None] * len(runs)
     replies = [(i, None) for i in range(len(runs))]
     while replies:

@@ -112,17 +112,18 @@ def _write_text(text: str, out_path: str | None) -> None:
 # ---------------------------------------------------------------------------
 # Config file and argument plumbing
 
-def _config_types(subparser: argparse.ArgumentParser) -> dict[str, type]:
-    """Config keys a subcommand accepts and their converters: every
+def _config_actions(subparser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """Config keys a subcommand accepts and their options: every
     single-value option except --config.  Flags always win over the file."""
     return {
-        action.dest: action.type or str
+        action.dest: action
         for action in subparser._actions
         if action.option_strings and action.nargs is None and action.dest != "config"
     }
 
 
-def load_config(path: str, types: dict[str, type]) -> dict:
+def load_config(path: str, actions: dict[str, argparse.Action]) -> dict:
+    """key=value lines, converted and checked against choices as flags are."""
     values = {}
     with open(path, "r", encoding="ascii") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -133,9 +134,14 @@ def load_config(path: str, types: dict[str, type]) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in types:
+            if key not in actions:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = types[key](value.strip())
+            action = actions[key]
+            value = (action.type or str)(value.strip())
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(f"{path}:{lineno}: config key {key!r} must be one of "
+                                 f"{', '.join(map(str, action.choices))}, got {value!r}")
+            values[key] = value
     return values
 
 
@@ -245,8 +251,6 @@ def _require(parser: argparse.ArgumentParser, args, *names: str) -> None:
 
 def cmd_scan_qudit(args, parser: argparse.ArgumentParser) -> int:
     _require(parser, args, "binning", "dmax")
-    if args.binning not in _PRESET_KINDS:
-        parser.error(f"unknown binning {args.binning!r}")
     if not 2 <= args.dmin <= args.dmax:
         parser.error(f"need 2 <= dmin <= dmax, got dmin={args.dmin} dmax={args.dmax}")
     if args.dmax > args.guard_d:
@@ -284,8 +288,6 @@ def cmd_scan_qudit(args, parser: argparse.ArgumentParser) -> int:
 
 def cmd_tightness(args, parser: argparse.ArgumentParser) -> int:
     _require(parser, args, "d")
-    if args.preset is not None and args.preset not in _PRESET_KINDS:
-        parser.error(f"unknown preset {args.preset!r}")
     if args.d < 2:
         parser.error(f"need d >= 2, got {args.d}")
     if args.d > args.guard_d:
@@ -534,10 +536,10 @@ def main(argv: list[str] | None = None) -> int:
     command = next((token for token in argv if token in subparsers), None)
     if config_path is not None and command is not None:
         # Keys of sibling subcommands are valid in the file and ignored here.
-        known = _config_types(subparsers[command])
-        types = {k: t for p in subparsers.values() for k, t in _config_types(p).items()}
+        known = _config_actions(subparsers[command])
+        actions = {k: a for p in subparsers.values() for k, a in _config_actions(p).items()}
         try:
-            config = load_config(config_path, types)
+            config = load_config(config_path, actions)
         except (OSError, ValueError) as exc:
             parser.error(str(exc))
         subparsers[command].set_defaults(**{k: v for k, v in config.items() if k in known})

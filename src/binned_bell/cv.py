@@ -56,12 +56,16 @@ import warnings
 import numpy as np
 
 from ._nelder_mead import _nelder_mead_lockstep
+from .lr_polytope import _chsh_table
 
 SQRT8 = 2.0 * math.sqrt(2.0)
 
-# Default probability mass the two-mode squeezed state may carry beyond the
-# Fock cutoff before displaced-parity results are considered untrustworthy.
+# Probability mass the two-mode squeezed state may carry beyond the Fock
+# cutoff before displaced-parity results are considered untrustworthy.
 DEFAULT_TAIL_MASS = 1e-10
+
+# Points per axis of the real displacement grid that seeds the searches.
+_GRID_POINTS = 21
 
 __all__ = [
     "SQRT8",
@@ -98,9 +102,10 @@ class AngleDegeneracyWarning(UserWarning):
 class FockCutoffError(ValueError):
     """The Fock cutoff truncates non-negligible state amplitude.
 
-    The message names the cutoff that would suffice; the displaced-parity
-    routes build dense (cutoff+1)^2 matrices, so they are practical up to
-    about r = 3 (see required_fock_cutoff).
+    Raised when the untruncated state carries DEFAULT_TAIL_MASS or more
+    beyond the cutoff.  The message names the cutoff that would suffice; the
+    displaced-parity routes build dense (cutoff+1)^2 matrices, so they are
+    practical up to about r = 3 (see required_fock_cutoff).
     """
 
 
@@ -351,19 +356,16 @@ def tmss_tail_mass(cutoff_fock: int, r: float) -> float:
     return math.tanh(r) ** (2 * (cutoff_fock + 1))
 
 
-def required_fock_cutoff(r: float, tail_mass: float = DEFAULT_TAIL_MASS) -> int:
-    """Smallest Fock cutoff keeping the squeezed-state tail below tail_mass.
+def required_fock_cutoff(r: float) -> int:
+    """Smallest Fock cutoff keeping the squeezed-state tail below DEFAULT_TAIL_MASS.
 
     The cutoff grows like exp(2r) for large r.  The displaced-parity routes
     build dense (cutoff+1)^2 matrices, so they are practical up to about
-    r = 3 (cutoff 2,322 at the default tail mass); r = 5 already asks for
-    126,794.
+    r = 3 (cutoff 2,322); r = 5 already asks for 126,794.
     """
     r = float(r)
     if not math.isfinite(r) or r < 0.0:
         raise ValueError(f"squeezing r must be finite and >= 0, got {r}")
-    if not 0.0 < tail_mass < 1.0:
-        raise ValueError(f"tail_mass must lie in (0, 1), got {tail_mass}")
     t = math.tanh(r)
     if t == 0.0:
         return 0
@@ -374,22 +376,22 @@ def required_fock_cutoff(r: float, tail_mass: float = DEFAULT_TAIL_MASS) -> int:
             lo, hi = (mid, hi) if math.tanh(mid) < 1.0 else (lo, mid)
         raise ValueError(f"tanh({r}) rounds to 1 and no cutoff bounds the tail; "
                          f"the largest usable r is {lo!r}")
-    cutoff = math.ceil(math.log(tail_mass) / (2.0 * math.log(t)) - 1.0)
+    cutoff = math.ceil(math.log(DEFAULT_TAIL_MASS) / (2.0 * math.log(t)) - 1.0)
     cutoff = max(cutoff, 0)
-    while tmss_tail_mass(cutoff, r) >= tail_mass:
+    while tmss_tail_mass(cutoff, r) >= DEFAULT_TAIL_MASS:
         cutoff += 1
     return cutoff
 
 
-def _check_fock_cutoff(cutoff_fock: int, r: float, tail_mass: float) -> int:
+def _check_fock_cutoff(cutoff_fock: int, r: float) -> int:
     cutoff_fock = operator.index(cutoff_fock)
     if cutoff_fock < 1:
         raise ValueError(f"Fock cutoff must be >= 1, got {cutoff_fock}")
-    if tmss_tail_mass(cutoff_fock, r) >= tail_mass:
+    if tmss_tail_mass(cutoff_fock, r) >= DEFAULT_TAIL_MASS:
         raise FockCutoffError(
             f"Fock cutoff {cutoff_fock} leaves tail mass "
-            f"{tmss_tail_mass(cutoff_fock, r):.3e} >= {tail_mass:.3e} at r={r}; "
-            f"use cutoff >= {required_fock_cutoff(r, tail_mass)} (the displaced-parity "
+            f"{tmss_tail_mass(cutoff_fock, r):.3e} >= {DEFAULT_TAIL_MASS:.3e} at r={r}; "
+            f"use cutoff >= {required_fock_cutoff(r)} (the displaced-parity "
             f"routes build dense (cutoff+1)^2 matrices, practical up to about r = 3)"
         )
     return cutoff_fock
@@ -508,8 +510,6 @@ def bw_bell_value(
     r: float,
     alphas: tuple[complex, complex],
     betas: tuple[complex, complex],
-    *,
-    tail_mass: float = DEFAULT_TAIL_MASS,
 ) -> float:
     """Displaced-parity Bell value at explicit displacement settings.
 
@@ -517,7 +517,7 @@ def bw_bell_value(
     contracts through the Schmidt form; serves as the reference route for
     the spectral search.
     """
-    cutoff_fock = _check_fock_cutoff(cutoff_fock, r, tail_mass)
+    cutoff_fock = _check_fock_cutoff(cutoff_fock, r)
     c = _tmss_amplitudes(cutoff_fock, r)
     pa = [displaced_parity_matrix(cutoff_fock, alpha) for alpha in alphas]
     pb = [displaced_parity_matrix(cutoff_fock, beta) for beta in betas]
@@ -529,12 +529,10 @@ def bw_bell_value(
     )
 
 
-def _grid_start(
-    tables: _DisplacementTables, anchor_zero: bool, grid_radius: float, grid_points: int
-) -> np.ndarray:
+def _grid_start(tables: _DisplacementTables, anchor_zero: bool, grid_radius: float) -> np.ndarray:
     # Best real settings on a displacement grid: (alpha, beta) for the
     # anchored arrangement, (alpha, alpha', beta, beta') for the free one.
-    grid = np.linspace(-grid_radius, grid_radius, grid_points)
+    grid = np.linspace(-grid_radius, grid_radius, _GRID_POINTS)
     table = tables.correlation_table(grid, grid)
     if anchor_zero:
         # Settings are 0 and alpha for one party, 0 and beta for the other:
@@ -544,12 +542,8 @@ def _grid_start(
         origin = tables.correlation_table(np.array([0.0]), np.array([0.0]))[0, 0]
         combo = origin + zero_row[None, :] + zero_col[:, None] - table
     else:
-        combo = (
-            table[:, None, :, None]
-            + table[:, None, None, :]
-            + table[None, :, :, None]
-            - table[None, :, None, :]
-        )
+        # x + (-y) is x - y exactly, so this is E + E + E - E bit for bit.
+        combo = _chsh_table(table, table, table, -table)
     return grid[np.array(np.unravel_index(np.argmax(combo), combo.shape))]
 
 
@@ -570,53 +564,43 @@ def bw_displaced_parity_max(
     *,
     anchor_zero: bool = False,
     complex_displacements: bool = False,
-    grid_radius: float | None = None,
-    grid_points: int = 21,
     restarts: int = 4,
     seed: int = 0,
-    tol: float = 1e-10,
-    tail_mass: float = DEFAULT_TAIL_MASS,
 ) -> float:
     """Best-found displaced-parity Bell value at squeezing r.
 
     By default all four displacements are real and free, which is the
-    arrangement whose optimum over r plateaus near 2.32; a grid seeds the
-    first Nelder-Mead start and restarts more start at random.  anchor_zero
-    restricts each party's first setting to no displacement, a strictly
-    weaker arrangement.  complex_displacements frees all eight real
-    parameters and refines restarts + 1 random starts.  All starts run in
-    lockstep (_nelder_mead_lockstep), each exactly as scipy's Nelder-Mead
-    with xatol = fatol = tol and maxiter/maxfev 4000/8000 (real) or
-    6000/12000 (complex); a later start wins only if strictly better.  Each
-    round is one batched call of the spectral route (one eigh, no matrix
+    arrangement whose optimum over r plateaus near 2.32; the best point of
+    a 21-point grid per axis seeds the first Nelder-Mead start and restarts
+    more start at random.  Optimal displacements shrink roughly like
+    exp(-r), so the grid and the random starts span [-R, R] with
+    R = max(1.2 exp(-r), 0.05).  anchor_zero restricts each party's first
+    setting to no displacement, a strictly weaker arrangement.
+    complex_displacements frees all eight real parameters and refines
+    restarts + 1 random starts.  All starts run in lockstep
+    (_nelder_mead_lockstep), each exactly as scipy's Nelder-Mead with
+    xatol = fatol = 1e-10 and maxiter/maxfev 4000/8000 (real) or 6000/12000
+    (complex); a later start wins only if strictly better.  Each round is
+    one batched call of the spectral route (one eigh, no matrix
     exponential), in real arithmetic for real displacements; the returned
     value is re-verified against the definition-level route, bw_bell_value,
     and a disagreement beyond 1e-8, or a NaN, raises ArithmeticError.
-    grid_radius and tol must be finite and positive.
     """
     r = float(r)
     if not math.isfinite(r) or r < 0.0:
         raise ValueError(f"squeezing r must be finite and >= 0, got {r}")
-    cutoff_fock = _check_fock_cutoff(cutoff_fock, r, tail_mass)
-    if grid_points < 2:
-        raise ValueError(f"grid_points must be at least 2, got {grid_points}")
+    cutoff_fock = _check_fock_cutoff(cutoff_fock, r)
     if restarts < 0:
         raise ValueError(f"restarts must be nonnegative, got {restarts}")
     if anchor_zero and complex_displacements:
         raise ValueError("anchor_zero applies to real displacements only")
-    tol = _as_positive_float(tol, "tol")
-    if grid_radius is None:
-        # Optimal displacements shrink roughly like exp(-r); keep the
-        # seeding grid focused on that scale.
-        grid_radius = max(1.2 * math.exp(-r), 0.05)
-    else:
-        grid_radius = _as_positive_float(grid_radius, "grid_radius")
+    grid_radius = max(1.2 * math.exp(-r), 0.05)
 
     tables = _DisplacementTables(cutoff_fock, r)
     if complex_displacements:
         starts, size, count, maxiter = [], 8, restarts + 1, 6000
     else:
-        starts = [_grid_start(tables, anchor_zero, grid_radius, grid_points)]
+        starts = [_grid_start(tables, anchor_zero, grid_radius)]
         size, count, maxiter = starts[0].size, restarts, 4000
     rng = np.random.default_rng(seed)
     starts += list(rng.uniform(-grid_radius, grid_radius, size=(count, size)))
@@ -625,14 +609,12 @@ def bw_displaced_parity_max(
         z = _search_displacements(params, anchor_zero, complex_displacements)
         return -tables.bell_value(z)
 
-    sim, fsim = _nelder_mead_lockstep(
-        objective, starts, tol=tol, maxiter=maxiter, maxfev=2 * maxiter
-    )
+    sim, fsim = _nelder_mead_lockstep(objective, starts, maxiter=maxiter, maxfev=2 * maxiter)
     best = np.argmin(fsim.min(axis=1))  # first of equal values: a later start must be better
     value, x = -fsim[best].min(), sim[best, 0]
     z = _search_displacements(x, anchor_zero, complex_displacements)
     del tables  # release its dim x dim matrices before the expm route allocates
-    check = bw_bell_value(cutoff_fock, r, tuple(z[:2]), tuple(z[2:]), tail_mass=tail_mass)
+    check = bw_bell_value(cutoff_fock, r, tuple(z[:2]), tuple(z[2:]))
     if not abs(check - value) <= 1e-8:
         raise ArithmeticError(
             f"displaced-parity spectral route disagrees with the definition route: "

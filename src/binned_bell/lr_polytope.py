@@ -27,10 +27,9 @@ never touch floating point.
 
 from __future__ import annotations
 
-import json
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -136,13 +135,6 @@ class CoefficientTensor:
         eps.setflags(write=False)
         object.__setattr__(self, "eps", eps)
 
-    def value(self, a: int, b: int, k: int, l: int) -> int:
-        if a not in (1, 2) or b not in (1, 2):
-            raise ValueError(f"settings a, b must be 1 or 2, got a={a}, b={b}")
-        if not (0 <= k < self.d and 0 <= l < self.d):
-            raise ValueError(f"outcomes k={k}, l={l} outside 0..{self.d - 1}")
-        return int(self.eps[a - 1, b - 1, k, l])
-
 
 def build_coefficients(spec: BinningSpec) -> CoefficientTensor:
     """Product-form coefficient tensor with the sign of the (2,2) block flipped."""
@@ -158,45 +150,26 @@ def build_coefficients(spec: BinningSpec) -> CoefficientTensor:
     return CoefficientTensor(spec.d, eps)
 
 
-@dataclass(frozen=True)
-class DeterministicConfig:
-    """Deterministic outcome assignment (k1, k2) for party A, (l1, l2) for B."""
+def _chsh_table(f11: np.ndarray, f12: np.ndarray, f21: np.ndarray, f22: np.ndarray) -> np.ndarray:
+    """T[x1, x2, y1, y2] = f11[x1, y1] + f12[x1, y2] + f21[x2, y1] + f22[x2, y2].
 
-    k1: int
-    k2: int
-    l1: int
-    l2: int
-
-    def __post_init__(self) -> None:
-        for name in ("k1", "k2", "l1", "l2"):
-            object.__setattr__(self, name, _as_index(getattr(self, name), name))
-
-
-def deterministic_value(coeffs: CoefficientTensor, config: DeterministicConfig) -> float:
-    """Bell sum of a single deterministic assignment; ±2 for product-form tensors."""
-    d = coeffs.d
-    for name in ("k1", "k2", "l1", "l2"):
-        v = getattr(config, name)
-        if not 0 <= v < d:
-            raise ValueError(f"{name}={v} outside 0..{d - 1}")
-    e = coeffs.eps
-    return float(
-        int(e[0, 0, config.k1, config.l1])
-        + int(e[0, 1, config.k1, config.l2])
-        + int(e[1, 0, config.k2, config.l1])
-        + int(e[1, 1, config.k2, config.l2])
+    The one layout of the Bell sum over a product of settings: deterministic
+    outcomes here, phase or displacement grids in the quantum searches.  The
+    terms are added in this order, so a table's entries are the bits of the
+    four-term sum at each point.
+    """
+    return (
+        f11[:, None, :, None]
+        + f12[:, None, None, :]
+        + f21[None, :, :, None]
+        + f22[None, :, None, :]
     )
 
 
 def _all_values(coeffs: CoefficientTensor) -> np.ndarray:
     """All d^4 deterministic values, indexed [k1, k2, l1, l2]."""
     e = coeffs.eps.astype(np.int16)
-    return (
-        e[0, 0][:, None, :, None]
-        + e[0, 1][:, None, None, :]
-        + e[1, 0][None, :, :, None]
-        + e[1, 1][None, :, None, :]
-    )
+    return _chsh_table(e[0, 0], e[0, 1], e[1, 0], e[1, 1])
 
 
 def lr_max(coeffs: CoefficientTensor, *, limit: int = DEFAULT_ENUMERATION_LIMIT) -> float:
@@ -226,39 +199,12 @@ def facet_threshold(d: int) -> int:
     return 4 * d * (d - 1)
 
 
-@dataclass(frozen=True)
-class ExtremalVector:
-    """0/1 vector of a deterministic assignment in the 4d^2 probability layout.
-
-    Blocks are ordered (a, b) = (1,1), (1,2), (2,1), (2,2); block (a, b)
-    carries a single 1 at index k_a * d + l_b.
-    """
-
-    d: int
-    components: np.ndarray
-
-    def __post_init__(self) -> None:
-        comp = np.asarray(self.components, dtype=np.int64)
-        if comp.shape != (4 * self.d * self.d,):
-            raise ValueError(
-                f"components must have length {4 * self.d * self.d}, got {comp.shape}"
-            )
-        blocks = comp.reshape(4, self.d * self.d)
-        if not (np.all((comp == 0) | (comp == 1)) and np.all(blocks.sum(axis=1) == 1)):
-            raise ValueError("each d^2 block must contain exactly one 1")
-        comp.setflags(write=False)
-        object.__setattr__(self, "components", comp)
-
-    @classmethod
-    def from_config(cls, d: int, config: DeterministicConfig) -> "ExtremalVector":
-        components = np.zeros(4 * d * d, dtype=np.int64)
-        columns = _extremal_columns(d, np.array([config.k1, config.k2, config.l1, config.l2]))
-        components[list(columns)] = 1
-        return cls(d, components)
-
-
 def _extremal_columns(d: int, configs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Column of the 1 in each of the four blocks, for (k1, k2, l1, l2) rows."""
+    """Column of the 1 in each of the four blocks, for (k1, k2, l1, l2) rows.
+
+    An extremal vector has 4d^2 entries in blocks (a, b) = (1,1), (1,2),
+    (2,1), (2,2); block (a, b) holds a single 1 at k_a * d + l_b.
+    """
     k1, k2, l1, l2 = np.asarray(configs).T
     dd = d * d
     return (k1 * d + l1, dd + k1 * d + l2, 2 * dd + k2 * d + l1, 3 * dd + k2 * d + l2)
@@ -367,24 +313,6 @@ class TightnessReport:
             "is_tight_by_count": self.is_tight_by_count,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=False)
-
-
-def _max_config_array(coeffs: CoefficientTensor) -> np.ndarray:
-    """Maximizing assignments as an (M, 4) array of (k1, k2, l1, l2), lexicographic."""
-    values = _all_values(coeffs)
-    return np.argwhere(values == values.max())
-
-
-def iter_max_configs(
-    coeffs: CoefficientTensor, *, limit: int = DEFAULT_ENUMERATION_LIMIT
-) -> Iterator[DeterministicConfig]:
-    """Maximizing deterministic assignments in lexicographic order."""
-    _check_limit(coeffs.d, limit)
-    for k1, k2, l1, l2 in _max_config_array(coeffs):
-        yield DeterministicConfig(int(k1), int(k2), int(l1), int(l2))
-
 
 def tightness_certificate(
     spec: BinningSpec, *, limit: int = DEFAULT_ENUMERATION_LIMIT
@@ -408,14 +336,15 @@ def tightness_certificate(
     """
     _check_limit(spec.d, limit)
     d = spec.d
-    coeffs = build_coefficients(spec)
-    configs = _max_config_array(coeffs)
+    values = _all_values(build_coefficients(spec))
+    top = values.max()
+    configs = np.argwhere(values == top)
     m_counted = int(configs.shape[0])
     threshold = facet_threshold(d)
     bound = (2 * d - 1) ** 2 if m_counted == d**4 else threshold
     rank = _modular_rank(configs, d, bound)
     return TightnessReport(
-        lr_max=lr_max(coeffs, limit=limit),
+        lr_max=float(top),
         m_counted=m_counted,
         m_formula=m_formula(spec),
         threshold=threshold,

@@ -35,7 +35,7 @@ from typing import Iterable
 import numpy as np
 
 from ._nelder_mead import _nelder_mead_lockstep
-from .lr_polytope import BinningSpec, CoefficientTensor, build_coefficients, zeta
+from .lr_polytope import BinningSpec, CoefficientTensor, _chsh_table, build_coefficients, zeta
 
 DEFAULT_OPERATOR_LIMIT = 64
 
@@ -410,7 +410,6 @@ def optimize_phases(
     grid_points: int = 17,
     restarts: int = 5,
     seed: int = 0,
-    tol: float = 1e-10,
 ) -> tuple[PhaseSettings, float]:
     """Best-found phases and Bell value for a binning preset.
 
@@ -422,12 +421,12 @@ def optimize_phases(
     through the shared Nelder-Mead (_nelder_mead_lockstep), one batched
     kernel call per round for the points every live start asks for.  Each
     start takes the same path, bit for bit, as
-    scipy.optimize.minimize(method="Nelder-Mead") with xatol = fatol = tol,
+    scipy.optimize.minimize(method="Nelder-Mead") with xatol = fatol = 1e-10,
     maxiter 4000 and maxfev 8000, because the simplex arithmetic is scipy's
-    and a batched objective value equals the single-point one.  The
-    returned value is re-evaluated through the
-    direct inner-product path, so it is a genuine lower bound on the
-    quantum maximum.  Ties on the grid resolve to the lexicographically
+    and a batched objective value equals the single-point one.  These
+    tolerances and caps are fixed.  The returned value is re-evaluated
+    through the direct inner-product path, so it is a genuine lower bound on
+    the quantum maximum.  Ties on the grid resolve to the lexicographically
     smallest phase tuple, and a later start replaces the best only if it is
     strictly better; identical inputs and seed give identical output.
     """
@@ -441,8 +440,6 @@ def optimize_phases(
         raise ValueError(f"restarts must be nonnegative, got {restarts}")
     if not 0 < window <= d:
         raise ValueError(f"window must lie in (0, d], got {window}")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol}")
     coeffs = build_coefficients(preset.to_binning_spec())
     objective = _KernelObjective(coeffs)
 
@@ -450,16 +447,7 @@ def optimize_phases(
     # grid x grid tables cover all grid_points^4 phase tuples.
     g = window * np.arange(grid_points) / grid_points
     sums = g[:, None] + g[None, :]
-    f11 = objective.pair_value(0, 0, sums)
-    f12 = objective.pair_value(0, 1, sums)
-    f21 = objective.pair_value(1, 0, sums)
-    f22 = objective.pair_value(1, 1, sums)
-    table = (
-        f11[:, None, :, None]
-        + f12[:, None, None, :]
-        + f21[None, :, :, None]
-        + f22[None, :, None, :]
-    )
+    table = _chsh_table(*(objective.pair_value(a, b, sums) for a in (0, 1) for b in (0, 1)))
     flat_best = int(np.argmax(table))  # first occurrence = lexicographic tie-break
     i1, i2, j1, j2 = np.unravel_index(flat_best, table.shape)
     best_x = np.array([g[i1], g[i2], g[j1], g[j2]])
@@ -468,7 +456,7 @@ def optimize_phases(
     rng = np.random.default_rng(seed)
     starts = np.vstack([best_x, rng.uniform(0.0, window, size=(restarts, 4))])
     sim, fsim = _nelder_mead_lockstep(
-        lambda x: -objective(x), starts, tol=tol, maxiter=_NM_MAXITER, maxfev=_NM_MAXFEV
+        lambda x: -objective(x), starts, maxiter=_NM_MAXITER, maxfev=_NM_MAXFEV
     )
     for x, fun in zip(sim[:, 0], fsim.min(axis=1)):
         val = float(-fun)

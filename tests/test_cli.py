@@ -217,6 +217,21 @@ class TestDeterminismAndConfig:
                               "--config", str(config))
         assert "bogus" in err
 
+    @pytest.mark.parametrize("command,line", [
+        (("threshold", "--smax", "3"), "format=xml"),
+        (("scan-qudit", "--dmax", "2"), "binning=t9"),
+        (("tightness", "--d", "3"), "binning=t9"),
+    ])
+    def test_config_value_outside_choices(self, capsys, tmp_path, command, line):
+        # A file value meets the same choices as the flag (--format xml is
+        # a usage error), whichever subcommand reads the file.
+        config = tmp_path / "bad.cfg"
+        config.write_text(line + "\n")
+        err = run_usage_error(capsys, *command, "--config", str(config))
+        key, _, value = line.partition("=")
+        message = err.splitlines()[-1]
+        assert err.count("error:") == 1 and f"{key!r}" in message and value in message
+
     def test_malformed_config_line(self, capsys, tmp_path):
         config = tmp_path / "bad.cfg"
         config.write_text("dmax\n")

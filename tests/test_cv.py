@@ -369,23 +369,9 @@ class TestDisplacedParityGuards:
         with pytest.raises(ValueError, match="restarts"):
             self.search(restarts=-1)
 
-    def test_grid_points_below_two_rejected(self):
-        with pytest.raises(ValueError, match="grid_points"):
-            self.search(grid_points=1)
-
     def test_anchor_with_complex_displacements_rejected(self):
         with pytest.raises(ValueError, match="anchor_zero"):
             self.search(anchor_zero=True, complex_displacements=True)
-
-    @pytest.mark.parametrize("radius", [math.nan, math.inf, -0.5, 0.0])
-    def test_grid_radius_must_be_finite_and_positive(self, radius):
-        with pytest.raises(ValueError, match="grid_radius"):
-            self.search(grid_radius=radius)
-
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-10, 0.0])
-    def test_tol_must_be_finite_and_positive(self, tol):
-        with pytest.raises(ValueError, match="tol"):
-            self.search(tol=tol)
 
     def test_nan_from_spectral_route_fails_the_check(self, monkeypatch):
         def nan_values(tables, x):

@@ -11,14 +11,12 @@ from binned_bell import lr_polytope
 from binned_bell.lr_polytope import (
     BinningSpec,
     CoefficientTensor,
-    DeterministicConfig,
     EnumerationLimitError,
-    ExtremalVector,
+    _all_values,
+    _chsh_table,
     build_coefficients,
     count_max_configs,
-    deterministic_value,
     facet_threshold,
-    iter_max_configs,
     lr_max,
     m_formula,
     tightness_certificate,
@@ -46,6 +44,23 @@ def random_spec(rng: np.random.Generator, d: int, min_size: int = 1) -> BinningS
         return tuple(sorted(rng.choice(d, size=size, replace=False).tolist()))
 
     return BinningSpec(d=d, r1=subset(), r2=subset(), s1=subset(), s2=subset())
+
+
+def deterministic_value(eps: np.ndarray, config) -> int:
+    """Bell sum of one assignment (k1, k2, l1, l2), term by term from eps."""
+    k1, k2, l1, l2 = config
+    terms = (eps[0, 0, k1, l1], eps[0, 1, k1, l2], eps[1, 0, k2, l1], eps[1, 1, k2, l2])
+    return sum(int(t) for t in terms)
+
+
+def extremal_row(d: int, config) -> np.ndarray:
+    """0/1 vector of an assignment in the 4d^2 layout: blocks (a, b) =
+    (1,1), (1,2), (2,1), (2,2), block (a, b) with a 1 at k_a * d + l_b."""
+    k1, k2, l1, l2 = config
+    row = np.zeros((4, d * d), dtype=np.int64)
+    for block, (k, l) in enumerate(((k1, l1), (k1, l2), (k2, l1), (k2, l2))):
+        row[block, k * d + l] = 1
+    return row.ravel()
 
 
 class TestBinningSpec:
@@ -101,11 +116,11 @@ class TestDeterministicValues:
         without that flip would miss.
         """
         coeffs = build_coefficients(T1(2))
-        values = set()
+        values = _all_values(coeffs)
         for cfg in itertools.product(range(2), repeat=4):
-            values.add(deterministic_value(coeffs, DeterministicConfig(*cfg)))
-        assert values == {-2.0, 2.0}
-        assert deterministic_value(coeffs, DeterministicConfig(0, 1, 0, 1)) == -2.0
+            assert values[cfg] == deterministic_value(coeffs.eps, cfg)
+        assert set(values.ravel().tolist()) == {-2, 2}
+        assert values[0, 1, 0, 1] == -2
 
     def test_lr_max_is_two_for_binned_tensors(self):
         for spec, expected_max, _, _ in ORACLES:
@@ -115,6 +130,37 @@ class TestDeterministicValues:
         # Not of the binned product form, so the classical bound 2 need not apply.
         eps = np.ones((2, 2, 2, 2), dtype=np.int8)
         assert lr_max(CoefficientTensor(d=2, eps=eps)) == 4.0
+
+
+class TestChshTable:
+    @staticmethod
+    def loop_table(f11, f12, f21, f22) -> np.ndarray:
+        shape = (f11.shape[0], f21.shape[0], f11.shape[1], f12.shape[1])
+        out = np.empty(shape, dtype=np.result_type(f11, f12, f21, f22))
+        for x1, x2, y1, y2 in itertools.product(*map(range, shape)):
+            out[x1, x2, y1, y2] = f11[x1, y1] + f12[x1, y2] + f21[x2, y1] + f22[x2, y2]
+        return out
+
+    def test_matches_loop_on_floats_and_int16(self):
+        # Unequal axis lengths, so a swapped index shows as a shape or value error.
+        rng = np.random.default_rng(3)
+        x1, x2, y1, y2 = 2, 3, 4, 5
+        shapes = [(x1, y1), (x1, y2), (x2, y1), (x2, y2)]
+        floats = [rng.normal(size=shape) for shape in shapes]
+        ints = [rng.integers(-3, 4, size=shape).astype(np.int16) for shape in shapes]
+        for f in (floats, ints):
+            table = _chsh_table(*f)
+            assert table.dtype == f[0].dtype
+            assert np.array_equal(table, self.loop_table(*f))
+
+    def test_negated_fourth_table_is_the_chsh_combination(self):
+        # The displaced-parity grid passes (E, E, E, -E): bit for bit the
+        # table of E11 + E12 + E21 - E22.
+        e = np.random.default_rng(4).normal(size=(6, 6))
+        table = _chsh_table(e, e, e, -e)
+        for x1, x2, y1, y2 in itertools.product(range(6), repeat=4):
+            expected = e[x1, y1] + e[x1, y2] + e[x2, y1] - e[x2, y2]
+            assert table[x1, x2, y1, y2] == expected
 
 
 class TestMaximizerCounting:
@@ -165,17 +211,24 @@ class TestMaximizerCounting:
 
 class TestExtremalVectors:
     def test_one_entry_per_block(self):
-        vec = ExtremalVector.from_config(3, DeterministicConfig(0, 1, 2, 0))
-        blocks = vec.components.reshape(4, 9)
+        blocks = extremal_row(3, (0, 1, 2, 0)).reshape(4, 9)
         assert np.array_equal(blocks.sum(axis=1), [1, 1, 1, 1])
+        assert np.flatnonzero(blocks).tolist() == [2, 9 + 0, 18 + 5, 27 + 3]
 
     def test_injective_over_configs(self):
         for d in (2, 3):
             seen = {
-                ExtremalVector.from_config(d, DeterministicConfig(*cfg)).components.tobytes()
-                for cfg in itertools.product(range(d), repeat=4)
+                extremal_row(d, cfg).tobytes() for cfg in itertools.product(range(d), repeat=4)
             }
             assert len(seen) == d**4
+
+    def test_modular_rank_columns_match_the_definition(self):
+        # The certificate builds its rows through _extremal_columns.
+        d = 3
+        configs = np.array(list(itertools.product(range(d), repeat=4)))
+        columns = np.stack(lr_polytope._extremal_columns(d, configs), axis=1)
+        for config, cols in zip(configs, columns):
+            assert cols.tolist() == np.flatnonzero(extremal_row(d, config)).tolist()
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_span_of_all_vectors(self, d):
@@ -187,7 +240,7 @@ class TestExtremalVectors:
         """
         elim = ExactIntegerRank(4 * d * d)
         for cfg in itertools.product(range(d), repeat=4):
-            elim.add(ExtremalVector.from_config(d, DeterministicConfig(*cfg)).components)
+            elim.add(extremal_row(d, cfg))
         assert elim.rank == (2 * d - 1) ** 2
 
 
@@ -213,9 +266,15 @@ class TestTightnessCertificate:
 
     @staticmethod
     def reference_rank(spec: BinningSpec) -> int:
+        """Exact rank of the maximizers, each found and built from the definition."""
+        eps = build_coefficients(spec).eps
+        configs = list(itertools.product(range(spec.d), repeat=4))
+        values = [deterministic_value(eps, cfg) for cfg in configs]
+        top = max(values)
         elim = ExactIntegerRank(4 * spec.d * spec.d)
-        for config in iter_max_configs(build_coefficients(spec)):
-            elim.add(ExtremalVector.from_config(spec.d, config).components)
+        for cfg, value in zip(configs, values):
+            if value == top:
+                elim.add(extremal_row(spec.d, cfg))
         return elim.rank
 
     def test_ranks_match_exact_stream_on_random_specs(self):
@@ -269,12 +328,6 @@ class TestTightnessCertificate:
         assert self.reference_rank(spec) == rank
         assert (report.linear_rank, report.affine_rank) == (rank, rank)
         assert report.is_tight_by_count == (report.m_counted >= report.threshold)
-
-    def test_maximizers_stream_in_lexicographic_order(self):
-        coeffs = build_coefficients(T1(2))
-        configs = [(c.k1, c.k2, c.l1, c.l2) for c in iter_max_configs(coeffs)]
-        assert configs == sorted(configs)
-        assert len(configs) == 8
 
     def test_report_serialization_field_names(self):
         report = tightness_certificate(T1(2))
