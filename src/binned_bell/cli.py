@@ -137,7 +137,12 @@ def load_config(path: str, actions: dict[str, argparse.Action]) -> dict:
             if key not in actions:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             action = actions[key]
-            value = (action.type or str)(value.strip())
+            value = value.strip()
+            try:
+                value = (action.type or str)(value)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: config key {key!r}: "
+                                 f"invalid {action.type.__name__} value {value!r}") from None
             if action.choices is not None and value not in action.choices:
                 raise ValueError(f"{path}:{lineno}: config key {key!r} must be one of "
                                  f"{', '.join(map(str, action.choices))}, got {value!r}")
@@ -548,9 +553,6 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args, parser)
     except lr.EnumerationLimitError as exc:
         parser.error(str(exc))
-    except cv.FockCutoffError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

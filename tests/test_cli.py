@@ -232,6 +232,17 @@ class TestDeterminismAndConfig:
         message = err.splitlines()[-1]
         assert err.count("error:") == 1 and f"{key!r}" in message and value in message
 
+    def test_config_value_of_wrong_type(self, capsys, tmp_path):
+        # The flag would say "argument --dmax: invalid int value"; the file
+        # says where the value came from.
+        config = tmp_path / "bad.cfg"
+        config.write_text("binning=t1\ndmax=abc\n")
+        err = run_usage_error(capsys, "scan-qudit", "--config", str(config))
+        assert err.count("error:") == 1
+        assert err.splitlines()[-1].endswith(
+            f"error: {config}:2: config key 'dmax': invalid int value 'abc'"
+        )
+
     def test_malformed_config_line(self, capsys, tmp_path):
         config = tmp_path / "bad.cfg"
         config.write_text("dmax\n")

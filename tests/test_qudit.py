@@ -425,6 +425,57 @@ class TestLockstepNelderMead:
         sim, fsim = _nelder_mead_lockstep(func, starts, maxiter=4000, maxfev=8000)
         assert_lockstep_matches_scipy(func, starts, sim, fsim)
 
+    def test_non_finite_values_resolve_like_scipy(self):
+        # A bowl with NaN and +inf on slabs the searches cross and -inf on a
+        # corner they fall into.  NaN fails every comparison, so it sorts
+        # last; on the plateau x3 > 1.6, NaN cells finer than the tolerance
+        # leave a NaN worst vertex when the rest of the simplex has
+        # converged, and the convergence test must not pass over it.  A -inf
+        # simplex never converges.
+        def func(x):
+            value = sum((x[..., k] - 0.7) ** 2 for k in range(4))
+            plateau = x[..., 3] > 1.6
+            value = np.where(plateau, -1.0, value)
+            value = np.where(plateau & (np.floor(x[..., 0] * 2.0**34) % 2 == 1), np.nan, value)
+            value = np.where((1.0 < x[..., 0]) & (x[..., 0] < 1.15), np.nan, value)
+            value = np.where((1.3 < x[..., 1]) & (x[..., 1] < 1.45), np.inf, value)
+            return np.where((x[..., 2] < 0.25) & (x[..., 3] < 0.25), -np.inf, value)
+
+        boundary = [[0.97, 0.7, 0.7, 0.7], [0.7, 1.25, 0.7, 0.7], [0.7, 0.7, 0.7, 1.8]]
+        starts = np.vstack([lockstep_starts(0), boundary])
+        caps = {"maxiter": 1000, "maxfev": 2000}
+        sim, fsim = _nelder_mead_lockstep(func, starts, **caps)
+        seen_all, escaped = [], False
+        for x0, s, f in zip(starts, sim, fsim):
+            # scipy's convergence test subtracts inf from inf here.
+            with np.errstate(invalid="ignore"):
+                res, seen = scipy_nelder_mead(func, x0, **caps)
+            ref_sim, ref_fsim = res.final_simplex
+            assert np.array_equal(s, ref_sim) and np.array_equal(f, ref_fsim, equal_nan=True)
+            seen_all += seen
+            escaped |= not np.all(np.isfinite(seen)) and np.all(np.isfinite(f))
+        seen_all = np.array(seen_all)
+        assert np.isnan(seen_all).any() and np.isposinf(seen_all).any()
+        assert np.isneginf(seen_all).any() and escaped
+
+    @pytest.mark.parametrize("kind,d", [("t3", 5), ("cv-complex", 9)])
+    def test_func_gets_one_float64_batch_per_round(self, kind, d):
+        func, n = search_objective(kind, d)
+        batches = []
+
+        def recording(x):
+            batches.append(x)
+            return func(x)
+
+        starts = lockstep_starts(1, n) * (0.25 if kind in CV_SEARCHES else 1.0)
+        sim, fsim = _nelder_mead_lockstep(recording, starts, maxiter=40, maxfev=80)
+        assert batches
+        for x in batches:
+            assert type(x) is np.ndarray and x.dtype == np.float64 and x.flags.c_contiguous
+            assert x.ndim == 2 and 1 <= len(x) <= len(starts) * (n + 1) and x.shape[1] == n
+        assert sim.dtype == fsim.dtype == np.float64
+        assert sim.shape == (len(starts), n + 1, n) and fsim.shape == (len(starts), n + 1)
+
     def test_caps_cut_starts_mid_iteration_like_scipy(self, monkeypatch):
         objective = _KernelObjective(build_coefficients(BinningPreset("t3", 5).to_binning_spec()))
         calls = []
