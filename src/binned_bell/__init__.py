@@ -35,7 +35,6 @@ from .qudit import (
     correlation_functions,
     fourier_basis,
     joint_probability,
-    max_entangled_state,
     operator_identity_residual,
     optimize_phases,
     probability_kernel,
@@ -81,7 +80,6 @@ __all__ = [
     "correlation_functions",
     "fourier_basis",
     "joint_probability",
-    "max_entangled_state",
     "operator_identity_residual",
     "optimize_phases",
     "probability_kernel",

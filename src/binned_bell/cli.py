@@ -415,12 +415,14 @@ def _suite_normalization(rng, trials, mutate):
         d = int(rng.integers(2, 11))
         basis = qudit.MeasurementBasis.build(d, float(rng.uniform(-2, 2)))
         if basis.gram_residual() > 1e-10:
-            yield f"basis d={d} offset={basis.offset!r} gram residual {basis.gram_residual():.3e}"
+            yield "normalization", (f"basis d={d} offset={basis.offset!r} "
+                                    f"gram residual {basis.gram_residual():.3e}")
         s = int(rng.integers(0, 50)) * 2 + 1
         r = float(rng.uniform(0.01, 10.0))
         state = cv.TruncatedTmss.build(s, r)
         if state.normalization_error() > 1e-12:
-            yield f"tmss s={s} r={r!r} normalization error {state.normalization_error():.3e}"
+            yield "normalization", (f"tmss s={s} r={r!r} "
+                                    f"normalization error {state.normalization_error():.3e}")
 
 
 def _suite_coefficients(spec: lr.BinningSpec, mutate: bool) -> lr.CoefficientTensor:
@@ -433,27 +435,20 @@ def _suite_coefficients(spec: lr.BinningSpec, mutate: bool) -> lr.CoefficientTen
     return lr.CoefficientTensor(d=spec.d, eps=eps)
 
 
-def _suite_identity(rng, trials, mutate):
+def _suite_operator(rng, trials, mutate):
+    """operator-identity and norm-bound, both on each trial's one operator."""
     for _ in range(trials):
         d = int(rng.integers(2, 11))
         spec = _random_spec(rng, d)
         phases = _random_phases(rng)
-        coeffs = _suite_coefficients(spec, mutate)
-        residual = qudit.operator_identity_residual(spec, phases, coeffs=coeffs)
+        operator = qudit.build_bell_operator(d, _suite_coefficients(spec, mutate), phases)
+        residual = qudit.operator_identity_residual(operator, spec, phases)
         if residual > 1e-9:
-            yield f"identity d={d} spec={spec} phases={phases} residual {residual:.3e}"
-
-
-def _suite_norm_bound(rng, trials, mutate):
-    for _ in range(trials):
-        d = int(rng.integers(2, 11))
-        spec = _random_spec(rng, d)
-        phases = _random_phases(rng)
-        coeffs = _suite_coefficients(spec, mutate)
-        operator = qudit.build_bell_operator(d, coeffs, phases)
+            yield "operator-identity", (f"identity d={d} spec={spec} phases={phases} "
+                                        f"residual {residual:.3e}")
         norm = operator.spectral_norm()
         if norm > qudit.SQRT8 + 1e-9:
-            yield f"norm d={d} spec={spec} phases={phases} norm {norm!r}"
+            yield "norm-bound", f"norm d={d} spec={spec} phases={phases} norm {norm!r}"
 
 
 def _suite_m_formula(rng, trials, mutate):
@@ -464,27 +459,33 @@ def _suite_m_formula(rng, trials, mutate):
         counted = lr.count_max_configs(coeffs)
         formula = lr.m_formula(spec)
         if counted != formula:
-            yield f"M d={d} spec={spec} counted {counted} formula {formula}"
+            yield "m-formula", f"M d={d} spec={spec} counted {counted} formula {formula}"
         if counted < lr.facet_threshold(d):
-            yield f"M d={d} spec={spec} counted {counted} below threshold {lr.facet_threshold(d)}"
+            yield "m-formula", (f"M d={d} spec={spec} counted {counted} "
+                                f"below threshold {lr.facet_threshold(d)}")
 
 
 def _suite_rank(rng, trials, mutate):
-    # Rank certification enumerates d^4 assignments; keep d small.
-    for _ in range(max(1, trials // 10)):
+    # Rank certification enumerates d^4 assignments; keep d small and the
+    # count at a tenth of the trials, but at least one unless trials is 0.
+    for _ in range(max(1, trials // 10) if trials else 0):
         d = int(rng.integers(2, 7))
         spec = _random_spec(rng, d)
         report = lr.tightness_certificate(spec)
         if report.linear_rank < report.threshold:
-            yield f"rank d={d} spec={spec} linear rank {report.linear_rank} < {report.threshold}"
+            yield "rank", (f"rank d={d} spec={spec} "
+                           f"linear rank {report.linear_rank} < {report.threshold}")
 
 
+# Each entry reports the suites it names, in order, and yields
+# (suite, counterexample) pairs from a generator seeded with --seed.
+# operator-identity and norm-bound share one trial loop, so every trial
+# builds its Bell operator once and checks both properties on it.
 _SUITES = (
-    ("normalization", _suite_normalization),
-    ("operator-identity", _suite_identity),
-    ("norm-bound", _suite_norm_bound),
-    ("m-formula", _suite_m_formula),
-    ("rank", _suite_rank),
+    (("normalization",), _suite_normalization),
+    (("operator-identity", "norm-bound"), _suite_operator),
+    (("m-formula",), _suite_m_formula),
+    (("rank",), _suite_rank),
 )
 
 
@@ -493,11 +494,15 @@ def cmd_certify(args, parser: argparse.ArgumentParser) -> int:
         parser.error(f"need trials >= 0, got {args.trials}")
     if args.trials == 0:
         sys.stderr.write("warning: --trials 0 makes every suite pass vacuously\n")
+    found = {}
+    for names, suite in _SUITES:
+        found.update((name, []) for name in names)
+        rng = np.random.default_rng(args.seed)
+        for name, counterexample in suite(rng, args.trials, args.mutate_eps22):
+            found[name].append(counterexample)
     lines = []
     failures = 0
-    for name, suite in _SUITES:
-        rng = np.random.default_rng(args.seed)
-        counterexamples = list(suite(rng, args.trials, args.mutate_eps22))
+    for name, counterexamples in found.items():
         if counterexamples:
             failures += len(counterexamples)
             lines.append(f"FAIL {name} ({len(counterexamples)} counterexamples)")
@@ -507,7 +512,7 @@ def cmd_certify(args, parser: argparse.ArgumentParser) -> int:
         else:
             lines.append(f"PASS {name}")
     lines.append(
-        f"{'FAIL' if failures else 'PASS'}: {len(_SUITES)} suites, "
+        f"{'FAIL' if failures else 'PASS'}: {len(found)} suites, "
         f"{args.trials} trials each, {failures} counterexamples"
     )
     _write_text("\n".join(lines) + "\n", args.out)

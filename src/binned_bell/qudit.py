@@ -100,11 +100,6 @@ class MeasurementBasis:
         return float(np.abs(g - np.eye(self.d)).max())
 
 
-def max_entangled_state(d: int) -> np.ndarray:
-    """|psi> = sum_j |jj> / sqrt(d) in the kron(A, B) layout."""
-    return np.eye(d).ravel() / math.sqrt(d)
-
-
 def _offsets(phases: PhaseSettings, a: int, b: int) -> tuple[float, float]:
     if a not in (1, 2) or b not in (1, 2):
         raise ValueError(f"settings a, b must be 1 or 2, got a={a}, b={b}")
@@ -274,18 +269,6 @@ class BellOperatorMatrix:
     def spectral_norm(self) -> float:
         return float(np.abs(np.linalg.eigvalsh(self.matrix)).max())
 
-    def expectation(self, state: np.ndarray) -> float:
-        state = np.asarray(state)
-        return float(np.real(state.conj() @ (self.matrix @ state)))
-
-
-def _check_operator_limit(d: int, limit: int) -> None:
-    if d > limit:
-        raise ValueError(
-            f"d={d} exceeds the dense-operator limit {limit} "
-            f"(matrix would be {d * d} x {d * d}); pass a larger limit to proceed"
-        )
-
 
 def build_bell_operator(
     d: int,
@@ -294,22 +277,32 @@ def build_bell_operator(
     *,
     limit: int = DEFAULT_OPERATOR_LIMIT,
 ) -> BellOperatorMatrix:
-    """Dense d^2 x d^2 Bell operator for the given coefficients and phases."""
+    """Dense d^2 x d^2 Bell operator for the given coefficients and phases.
+
+    Each party's two projector tensors are built once; every setting pair
+    (a, b) then contracts its coefficient block between them.  d above
+    `limit` raises ValueError before anything is built.
+    """
     if coeffs.d != d:
         raise ValueError(f"coefficient tensor has d={coeffs.d}, expected {d}")
-    _check_operator_limit(d, limit)
+    if d > limit:
+        raise ValueError(
+            f"d={d} exceeds the dense-operator limit {limit} "
+            f"(matrix would be {d * d} x {d * d}); pass a larger limit to proceed"
+        )
+
+    def projectors(offset: float) -> np.ndarray:
+        u = fourier_basis(d, offset)
+        # row (i j), column k: <i| (|k><k|) |j>
+        return np.einsum("ik,jk->ijk", u, u.conj()).reshape(d * d, d)
+
+    proj_a = (projectors(phases.alpha1), projectors(phases.alpha2))
+    proj_b = (projectors(phases.beta1), projectors(phases.beta2))
     total = np.zeros((d * d, d * d), dtype=complex)
-    bases = {1: fourier_basis(d, phases.alpha1), 2: fourier_basis(d, phases.alpha2)}
-    cobases = {1: fourier_basis(d, phases.beta1), 2: fourier_basis(d, phases.beta2)}
-    for a in (1, 2):
-        u = bases[a]
-        # proj_a[i, j, k] = <i| (|a,k><a,k|) |j>
-        proj_a = np.einsum("ik,jk->ijk", u, u.conj())
-        for b in (1, 2):
-            v = cobases[b]
-            proj_b = np.einsum("ml,nl->mnl", v, v.conj())
-            weighted = proj_a.reshape(d * d, d) @ coeffs.eps[a - 1, b - 1].astype(float)
-            block = weighted @ proj_b.reshape(d * d, d).T
+    for a in (0, 1):
+        for b in (0, 1):
+            weighted = proj_a[a] @ coeffs.eps[a, b].astype(float)
+            block = weighted @ proj_b[b].T
             # reorder (i j)(m n) -> (i m)(j n) for the kron layout
             total += (
                 block.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
@@ -325,23 +318,19 @@ def binned_observable(d: int, offset: float, subset: Iterable[int]) -> np.ndarra
 
 
 def operator_identity_residual(
-    spec: BinningSpec,
-    phases: PhaseSettings,
-    coeffs: CoefficientTensor | None = None,
-    *,
-    limit: int = DEFAULT_OPERATOR_LIMIT,
+    operator: BellOperatorMatrix, spec: BinningSpec, phases: PhaseSettings
 ) -> float:
-    """Max-entrywise residual of B^2 - 4*I - [P1, P2] (x) [Q2, Q1].
+    """Max-entrywise residual of B^2 - 4*I - [P1, P2] (x) [Q2, Q1] for a given B.
 
-    coeffs defaults to the product form of the spec; passing a different
-    tensor (for example one with the (2,2) sign flipped back) shows how the
+    P_a and Q_b are the spec's binned observables at the given phases, so
+    the residual is at rounding level when `operator` was built from the
+    spec's coefficients at those phases.  An operator built from another
+    tensor (for example with the (2,2) block's sign flipped) shows how the
     identity breaks when the sign convention is violated.
     """
     d = spec.d
-    _check_operator_limit(d, limit)
-    if coeffs is None:
-        coeffs = build_coefficients(spec)
-    bell = build_bell_operator(d, coeffs, phases, limit=limit)
+    if operator.d != d:
+        raise ValueError(f"operator has d={operator.d}, spec has d={d}")
     p1 = binned_observable(d, phases.alpha1, spec.r1)
     p2 = binned_observable(d, phases.alpha2, spec.r2)
     q1 = binned_observable(d, phases.beta1, spec.s1)
@@ -349,7 +338,7 @@ def operator_identity_residual(
     comm_p = p1 @ p2 - p2 @ p1
     comm_q = q2 @ q1 - q1 @ q2
     target = 4 * np.eye(d * d) + np.kron(comm_p, comm_q)
-    return float(np.abs(bell.matrix @ bell.matrix - target).max())
+    return float(np.abs(operator.matrix @ operator.matrix - target).max())
 
 
 class _KernelObjective:

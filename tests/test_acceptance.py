@@ -158,8 +158,8 @@ def test_criterion_5_operator_suite():
         d = int(rng.integers(2, 11))
         spec = _random_spec(rng, d)
         phases = PhaseSettings(*[float(v) for v in rng.uniform(-2, 2, size=4)])
-        worst_residual = max(worst_residual, operator_identity_residual(spec, phases))
         operator = build_bell_operator(d, build_coefficients(spec), phases)
+        worst_residual = max(worst_residual, operator_identity_residual(operator, spec, phases))
         worst_norm = max(worst_norm, operator.spectral_norm())
     ok = worst_residual <= 1e-9 and worst_norm <= SQRT8 + 1e-9
     _criterion(
@@ -213,7 +213,11 @@ def test_criterion_9_mutation_sensitivity():
     eps = coeffs.eps.copy()
     eps[1, 1] = -eps[1, 1]
     mutated = CoefficientTensor(d=4, eps=eps)
-    clean = operator_identity_residual(spec, OPTIMAL_PHASES)
-    broken = operator_identity_residual(spec, OPTIMAL_PHASES, coeffs=mutated)
+    clean = operator_identity_residual(
+        build_bell_operator(4, coeffs, OPTIMAL_PHASES), spec, OPTIMAL_PHASES
+    )
+    broken = operator_identity_residual(
+        build_bell_operator(4, mutated, OPTIMAL_PHASES), spec, OPTIMAL_PHASES
+    )
     ok = clean <= 1e-9 and broken > 1e-9
     _criterion(9, ok, f"clean residual {clean:.2e}, mutated residual {broken:.2e}")

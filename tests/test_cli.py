@@ -8,10 +8,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import binned_bell
-from binned_bell import cli
+from binned_bell import cli, lr_polytope
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -163,10 +164,87 @@ class TestCertify:
         assert "FAIL operator-identity" in out
         assert "residual" in out
 
-    def test_zero_trials_vacuous_pass_with_warning(self, capsys):
+    def test_zero_trials_vacuous_pass_with_warning(self, capsys, monkeypatch):
+        calls = []
+        certificate = lr_polytope.tightness_certificate
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return certificate(*args, **kwargs)
+
+        monkeypatch.setattr(lr_polytope, "tightness_certificate", counted)
         code, out, err = run(capsys, "certify", "--trials", "0")
         assert code == 0
         assert "vacuous" in err
+        assert len(calls) == 0
+        # The rank suite runs a tenth of the trials, but at least one.
+        for trials, expected in (("5", 1), ("30", 3)):
+            calls.clear()
+            code, _, err = run(capsys, "certify", "--trials", trials)
+            assert code == 0 and "vacuous" not in err
+            assert len(calls) == expected
+
+    @pytest.mark.parametrize("flags", [("--trials", "12", "--seed", "3"),
+                                       ("--trials", "12", "--mutate-eps22", "--seed", "0")])
+    def test_shared_operator_loop_matches_separate_suites(self, capsys, flags):
+        """The operator-identity and norm-bound lines equal those of two
+        separate loops, each with its own generator and operator builds."""
+        trials = int(flags[1])
+        seed = int(flags[-1])
+        mutate = "--mutate-eps22" in flags
+
+        def draws():
+            rng = np.random.default_rng(seed)
+            for _ in range(trials):
+                d = int(rng.integers(2, 11))
+
+                def subset():
+                    size = int(rng.integers(1, d))
+                    return tuple(sorted(rng.choice(d, size=size, replace=False).tolist()))
+
+                spec = binned_bell.BinningSpec(d=d, r1=subset(), r2=subset(),
+                                               s1=subset(), s2=subset())
+                phases = binned_bell.PhaseSettings(*[float(v) for v in
+                                                     rng.uniform(-2.0, 2.0, size=4)])
+                coeffs = binned_bell.build_coefficients(spec)
+                if mutate:
+                    eps = coeffs.eps.copy()
+                    eps[1, 1] = -eps[1, 1]
+                    coeffs = binned_bell.CoefficientTensor(d=d, eps=eps)
+                yield d, spec, phases, binned_bell.build_bell_operator(d, coeffs, phases)
+
+        identity = []
+        for d, spec, phases, operator in draws():
+            residual = binned_bell.operator_identity_residual(operator, spec, phases)
+            if residual > 1e-9:
+                identity.append(f"identity d={d} spec={spec} phases={phases} "
+                                f"residual {residual:.3e}")
+        norm_bound = []
+        for d, spec, phases, operator in draws():
+            norm = operator.spectral_norm()
+            if norm > 2.0 * math.sqrt(2.0) + 1e-9:
+                norm_bound.append(f"norm d={d} spec={spec} phases={phases} norm {norm!r}")
+
+        lines = ["PASS normalization"]
+        for name, found in (("operator-identity", identity), ("norm-bound", norm_bound)):
+            if not found:
+                lines.append(f"PASS {name}")
+                continue
+            lines.append(f"FAIL {name} ({len(found)} counterexamples)")
+            lines.extend(f"  {c}" for c in found[:5])
+            if len(found) > 5:
+                lines.append(f"  ... {len(found) - 5} more")
+        failures = len(identity) + len(norm_bound)
+        lines += ["PASS m-formula", "PASS rank",
+                  f"{'FAIL' if failures else 'PASS'}: 5 suites, {trials} trials each, "
+                  f"{failures} counterexamples"]
+
+        code, out, _ = run(capsys, "certify", *flags)
+        assert out == "\n".join(lines) + "\n"
+        assert code == (1 if failures else 0)
+        # Only the mutation breaks the operator facts; at 12 trials it breaks
+        # the identity on every draw and the listing is cut after five.
+        assert (len(identity), bool(norm_bound)) == ((trials, True) if mutate else (0, False))
 
 
 class TestDeterminismAndConfig:

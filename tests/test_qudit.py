@@ -27,7 +27,6 @@ from binned_bell.qudit import (
     correlation_functions,
     fourier_basis,
     joint_probability,
-    max_entangled_state,
     operator_identity_residual,
     optimize_phases,
     probability_kernel,
@@ -73,11 +72,6 @@ class TestBases:
         omega = np.exp(2j * np.pi / 3)
         expected = np.array([[1, 1, 1], [1, omega, omega**2], [1, omega**2, omega**4]])
         assert np.allclose(u, expected / np.sqrt(3))
-
-    def test_max_entangled_state_normalized(self):
-        for d in (2, 5, 9):
-            psi = max_entangled_state(d)
-            assert abs(np.vdot(psi, psi) - 1.0) < 1e-14
 
 
 class TestProbabilities:
@@ -170,7 +164,9 @@ class TestBellOperator:
             operator = build_bell_operator(d, coeffs, phases)
             direct = bell_expectation(d, coeffs, phases)
             assert operator.hermiticity_residual() < 1e-12
-            assert abs(operator.expectation(max_entangled_state(d)) - direct) < 1e-10
+            # |psi> = sum_j |jj> / sqrt(d) in the kron(A, B) layout
+            psi = np.eye(d).ravel() / math.sqrt(d)
+            assert abs(np.vdot(psi, operator.matrix @ psi) - direct) < 1e-10
 
     def test_spectral_norm_within_quantum_bound(self):
         rng = np.random.default_rng(21)
@@ -202,7 +198,9 @@ class TestOperatorIdentity:
         for _ in range(20):
             d = int(rng.integers(2, 9))
             spec = random_preset_free_spec(rng, d)
-            residual = operator_identity_residual(spec, random_phases(rng))
+            phases = random_phases(rng)
+            operator = build_bell_operator(d, build_coefficients(spec), phases)
+            residual = operator_identity_residual(operator, spec, phases)
             assert residual < 1e-9
 
     def test_flipped_last_block_breaks_identity(self):
@@ -216,7 +214,8 @@ class TestOperatorIdentity:
         eps = coeffs.eps.copy()
         eps[1, 1] = -eps[1, 1]
         mutated = CoefficientTensor(d=4, eps=eps)
-        residual = operator_identity_residual(spec, OPTIMAL_PHASES, coeffs=mutated)
+        operator = build_bell_operator(4, mutated, OPTIMAL_PHASES)
+        residual = operator_identity_residual(operator, spec, OPTIMAL_PHASES)
         assert residual > 0.1
 
 
