@@ -27,30 +27,24 @@ from .lr_polytope import (
 from .qudit import (
     BellOperatorMatrix,
     BinningPreset,
-    CorrelationFunctions,
     MeasurementBasis,
     PhaseSettings,
     bell_expectation,
     build_bell_operator,
-    correlation_functions,
     fourier_basis,
-    joint_probability,
     operator_identity_residual,
     optimize_phases,
     probability_kernel,
-    t1_cosine_form,
 )
 from .cv import (
     AngleDegeneracyWarning,
     CvScenario,
     FockCutoffError,
-    PhaseParityOperator,
     TruncatedTmss,
     ViolationThreshold,
     bw_bell_value,
     bw_displaced_parity_max,
     cv_bell_expectation,
-    phase_state,
     required_fock_cutoff,
     squeezing_threshold,
     tmss_bell_closed_form,
@@ -72,28 +66,22 @@ __all__ = [
     "tightness_certificate",
     "BellOperatorMatrix",
     "BinningPreset",
-    "CorrelationFunctions",
     "MeasurementBasis",
     "PhaseSettings",
     "bell_expectation",
     "build_bell_operator",
-    "correlation_functions",
     "fourier_basis",
-    "joint_probability",
     "operator_identity_residual",
     "optimize_phases",
     "probability_kernel",
-    "t1_cosine_form",
     "AngleDegeneracyWarning",
     "CvScenario",
     "FockCutoffError",
-    "PhaseParityOperator",
     "TruncatedTmss",
     "ViolationThreshold",
     "bw_bell_value",
     "bw_displaced_parity_max",
     "cv_bell_expectation",
-    "phase_state",
     "required_fock_cutoff",
     "squeezing_threshold",
     "tmss_bell_closed_form",

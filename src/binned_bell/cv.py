@@ -30,20 +30,19 @@ For comparison, the displaced-parity test measures parity after a Glauber
 displacement, Pi(alpha) = D(alpha) P D(alpha)^dagger = D(2 alpha) P, on the
 same two-mode squeezed state.  Its best value saturates near 2.32, short of
 2 sqrt(2); the search utilities here reproduce that plateau numerically.
-The search never exponentiates a matrix: with alpha = rho exp(i theta) and
-R = diag(exp(i n theta)), the truncated generator 2(alpha a^dagger -
-alpha^* a) equals R 2 rho (a^dagger - a) R^dagger exactly, so one eigh of
-H = i(a^dagger - a) = Phi mu Phi^dagger gives
+On the untruncated state sech r sum_n tanh^n r |n, n> the correlation is a
+scaled two-mode Wigner function (Banaszek and Wodkiewicz, PRA 58, 4345
+(1998); PRL 82, 2009 (1999)),
 
-    D(2 alpha) = (R Phi) diag(exp(-2i rho mu)) (R Phi)^dagger
+    E(alpha, beta) = exp[-2 cosh(2r)(|alpha|^2 + |beta|^2)
+                         + 4 sinh(2r) Re(alpha beta)],
 
-for every complex alpha.  Real displacements stay in real arithmetic.  H is
-the real symmetric a + a^dagger in disguise, i(a^dagger - a) =
-diag(i^n) (a + a^dagger) diag(i^n)^dagger, and D(2 alpha) = exp(2 alpha
-(a^dagger - a)) is a real matrix for real alpha.  With u = exp(-2i alpha mu)
-= C - iS and the real weights W = |Phi^T diag(c) Phi|^2, a correlation is
-E(alpha, beta) = C W C'^T - S W S'^T, so the real search and its seeding
-grid use real cos/sin tables and real matrix products only.
+with a plus sign on the last term in this convention; the other sign
+misses the truncated reference by about 1.1 at the search optima of
+r = 0.8-2.0.  The searches evaluate this closed form elementwise, for real
+and complex displacements alike, and never build a matrix.  The truncated
+matrix exponential (displaced_parity_matrix, bw_bell_value) is the
+independent reference that re-checks each returned optimum.
 """
 
 from __future__ import annotations
@@ -74,9 +73,7 @@ __all__ = [
     "FockCutoffError",
     "CvScenario",
     "TruncatedTmss",
-    "PhaseParityOperator",
     "ViolationThreshold",
-    "phase_state",
     "cv_bell_expectation",
     "tmss_bell_closed_form",
     "squeezing_threshold",
@@ -104,7 +101,7 @@ class FockCutoffError(ValueError):
 
     Raised when the untruncated state carries DEFAULT_TAIL_MASS or more
     beyond the cutoff.  The message names the cutoff that would suffice; the
-    displaced-parity routes build dense (cutoff+1)^2 matrices, so they are
+    displaced-parity reference builds dense (cutoff+1)^2 matrices, so it is
     practical up to about r = 3 (see required_fock_cutoff).
     """
 
@@ -129,21 +126,6 @@ def _as_positive_float(value: float, name: str) -> float:
     return value
 
 
-def phase_state(s: int, theta: float, k: int) -> np.ndarray:
-    """Return the phase state |theta, k> in the number basis.
-
-    Components are exp(i n theta_k)/sqrt(s+1) with theta_k = theta +
-    2 pi k/(s+1).  For fixed theta the s+1 states are orthonormal.
-    """
-    s = _as_odd_cutoff(s)
-    k = operator.index(k)
-    if not 0 <= k <= s:
-        raise ValueError(f"phase index k must lie in [0, {s}], got {k}")
-    theta_k = float(theta) + 2.0 * math.pi * k / (s + 1)
-    n = np.arange(s + 1)
-    return np.exp(1j * n * theta_k) / math.sqrt(s + 1)
-
-
 def _phase_parity_matrix(s: int, theta: float) -> np.ndarray:
     # Pi(theta) = V diag((-1)^k) V^dagger with V holding the phase states
     # as columns; built from the definition rather than its sparse
@@ -154,31 +136,6 @@ def _phase_parity_matrix(s: int, theta: float) -> np.ndarray:
     v = np.exp(1j * n * theta_k) / math.sqrt(s + 1)
     signs = np.where(np.arange(s + 1) % 2 == 0, 1.0, -1.0)
     return (v * signs) @ v.conj().T
-
-
-@dataclasses.dataclass(frozen=True)
-class PhaseParityOperator:
-    """Parity observable Pi(theta) in the truncated number basis."""
-
-    s: int
-    theta: float
-    matrix: np.ndarray
-
-    @classmethod
-    def build(cls, s: int, theta: float) -> "PhaseParityOperator":
-        s = _as_odd_cutoff(s)
-        theta = float(theta)
-        matrix = _phase_parity_matrix(s, theta)
-        matrix.setflags(write=False)
-        return cls(s=s, theta=theta, matrix=matrix)
-
-    def hermiticity_residual(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-
-    def involution_residual(self) -> float:
-        """Max deviation of Pi^2 from the identity."""
-        eye = np.eye(self.s + 1)
-        return float(np.max(np.abs(self.matrix @ self.matrix - eye)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -359,9 +316,9 @@ def tmss_tail_mass(cutoff_fock: int, r: float) -> float:
 def required_fock_cutoff(r: float) -> int:
     """Smallest Fock cutoff keeping the squeezed-state tail below DEFAULT_TAIL_MASS.
 
-    The cutoff grows like exp(2r) for large r.  The displaced-parity routes
-    build dense (cutoff+1)^2 matrices, so they are practical up to about
-    r = 3 (cutoff 2,322); r = 5 already asks for 126,794.
+    The cutoff grows like exp(2r) for large r.  The displaced-parity
+    reference builds dense (cutoff+1)^2 matrices, so it is practical up to
+    about r = 3 (cutoff 2,322); r = 5 already asks for 126,794.
     """
     r = float(r)
     if not math.isfinite(r) or r < 0.0:
@@ -392,7 +349,7 @@ def _check_fock_cutoff(cutoff_fock: int, r: float) -> int:
             f"Fock cutoff {cutoff_fock} leaves tail mass "
             f"{tmss_tail_mass(cutoff_fock, r):.3e} >= {DEFAULT_TAIL_MASS:.3e} at r={r}; "
             f"use cutoff >= {required_fock_cutoff(r)} (the displaced-parity "
-            f"routes build dense (cutoff+1)^2 matrices, practical up to about r = 3)"
+            f"reference builds dense (cutoff+1)^2 matrices, practical up to about r = 3)"
         )
     return cutoff_fock
 
@@ -418,7 +375,7 @@ def displaced_parity_matrix(cutoff_fock: int, alpha: complex) -> np.ndarray:
     Parity anticommutes with the displacement generator even after
     truncation, so the product collapses exactly to D(2 alpha) P.  D(2 alpha)
     comes from a matrix exponential of the generator, independent of the
-    spectral route the searches use; this is the reference route.  For real
+    closed form the searches use; this is the reference route.  For real
     alpha (no imaginary part) the generator 2 alpha (a^dagger - a) is real,
     so the exponential and the returned matrix are real.
     """
@@ -437,72 +394,15 @@ def displaced_parity_matrix(cutoff_fock: int, alpha: complex) -> np.ndarray:
     return displacement * signs
 
 
-class _DisplacementTables:
-    """Spectral displaced-parity correlations for any displacements.
+def _parity_correlation(r: float, alpha, beta):
+    """Closed-form E(alpha, beta) on the untruncated squeezed state, elementwise.
 
-    With H = i(a^dagger - a) = Phi mu Phi^dagger, D(2 alpha) = (R Phi)
-    diag(exp(-2i rho mu)) (R Phi)^dagger for alpha = rho exp(i theta) and
-    R = diag(exp(i n theta)).  The parity signs cancel pairwise in the
-    Schmidt contraction, so E(alpha, beta) = Re sum_mn c_m c_n
-    D(2 alpha)_mn D(2 beta)_mn.  For real displacements (R = 1) this is
-
-        E(alpha, beta) = Re[ u(alpha)^T W v(beta) ] = C W C'^T - S W S'^T,
-        u_p(alpha) = exp(-2i alpha mu_p) = C_p - i S_p,  W = |Phi^T diag(c) Phi|^2,
-
-    with W, C = cos(2 alpha mu) and S = sin(2 alpha mu) real, so a full
-    displacement-grid correlation table is two real matrix products after
-    one eigendecomposition.  bell_value takes a batch of points, real ones
-    through that table and complex ones through D(2 alpha).
+    Broadcasts alpha against beta, real or complex; E lies in (0, 1] because
+    the exponent is at most -2 exp(-2r)(|alpha|^2 + |beta|^2).
     """
-
-    def __init__(self, cutoff_fock: int, r: float):
-        dim = cutoff_fock + 1
-        a = _annihilation(dim)
-        mu, phi = np.linalg.eigh(1j * (a.conj().T - a))
-        c = _tmss_amplitudes(cutoff_fock, r)
-        g = phi.T @ (c[:, None] * phi)
-        self.mu = mu
-        self.phi = phi
-        self.levels = np.arange(dim)
-        self.schmidt_weights = np.outer(c, c)
-        self.weights = np.abs(g) ** 2
-
-    def displacements(self, alphas: np.ndarray) -> np.ndarray:
-        """D(2 alpha) for each alpha, of shape alphas.shape + (dim, dim)."""
-        alphas = np.asarray(alphas)[..., None]
-        rotation = np.exp(1j * (np.angle(alphas) * self.levels))
-        spectrum = np.exp(-2j * (np.abs(alphas) * self.mu))
-        radial = (self.phi * spectrum[..., None, :]) @ self.phi.conj().T
-        return rotation[..., :, None] * radial * rotation.conj()[..., None, :]
-
-    def correlation_table(self, alphas: np.ndarray, betas: np.ndarray) -> np.ndarray:
-        """E(alpha_i, beta_j) for real displacements, stacked over leading axes.
-
-        One product [C; S] @ W for the alphas, then C W C'^T - S W S'^T; a
-        slice's value does not depend on the stack around it.
-        """
-        a = 2.0 * (alphas[..., None] * self.mu)
-        b = 2.0 * (betas[..., None] * self.mu)
-        uw = np.concatenate([np.cos(a), np.sin(a)], axis=-2) @ self.weights
-        n = alphas.shape[-1]
-        return (uw[..., :n, :] @ np.swapaxes(np.cos(b), -1, -2)
-                - uw[..., n:, :] @ np.swapaxes(np.sin(b), -1, -2))
-
-    def bell_value(self, x: np.ndarray) -> np.ndarray:
-        """Bell values at displacements x[..., :] = (alpha, alpha', beta, beta').
-
-        Every product is a stacked matmul with one point per slice, so a
-        value does not depend on the batch around it.
-        """
-        x = np.asarray(x)
-        if np.iscomplexobj(x):
-            d = self.displacements(x)
-            da = (self.schmidt_weights * d[..., :2, :, :]).reshape(x.shape[:-1] + (2, -1))
-            db = d[..., 2:, :, :].reshape(x.shape[:-1] + (2, -1))
-            table = np.real(da @ np.swapaxes(db, -1, -2))
-        else:
-            table = self.correlation_table(x[..., :2], x[..., 2:])
-        return table[..., 0, 0] + table[..., 0, 1] + table[..., 1, 0] - table[..., 1, 1]
+    c, s = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    return np.exp(-2.0 * c * (np.abs(alpha) ** 2 + np.abs(beta) ** 2)
+                  + 4.0 * s * np.real(alpha * beta))
 
 
 def bw_bell_value(
@@ -515,7 +415,7 @@ def bw_bell_value(
 
     Builds the two parity matrices per party from the definition and
     contracts through the Schmidt form; serves as the reference route for
-    the spectral search.
+    the closed-form search.
     """
     cutoff_fock = _check_fock_cutoff(cutoff_fock, r)
     c = _tmss_amplitudes(cutoff_fock, r)
@@ -529,18 +429,16 @@ def bw_bell_value(
     )
 
 
-def _grid_start(tables: _DisplacementTables, anchor_zero: bool, grid_radius: float) -> np.ndarray:
+def _grid_start(r: float, anchor_zero: bool, grid_radius: float) -> np.ndarray:
     # Best real settings on a displacement grid: (alpha, beta) for the
     # anchored arrangement, (alpha, alpha', beta, beta') for the free one.
     grid = np.linspace(-grid_radius, grid_radius, _GRID_POINTS)
-    table = tables.correlation_table(grid, grid)
+    table = _parity_correlation(r, grid[:, None], grid[None, :])
     if anchor_zero:
         # Settings are 0 and alpha for one party, 0 and beta for the other:
-        # B = E(0,0) + E(0,beta) + E(alpha,0) - E(alpha,beta).
-        zero_row = tables.correlation_table(np.array([0.0]), grid)[0]
-        zero_col = tables.correlation_table(grid, np.array([0.0]))[:, 0]
-        origin = tables.correlation_table(np.array([0.0]), np.array([0.0]))[0, 0]
-        combo = origin + zero_row[None, :] + zero_col[:, None] - table
+        # B = E(0,0) + E(0,beta) + E(alpha,0) - E(alpha,beta), with E(0,0) = 1.
+        zero = _parity_correlation(r, grid, 0.0)
+        combo = 1.0 + zero[None, :] + zero[:, None] - table
     else:
         # x + (-y) is x - y exactly, so this is E + E + E - E bit for bit.
         combo = _chsh_table(table, table, table, -table)
@@ -556,6 +454,12 @@ def _search_displacements(params: np.ndarray, anchor_zero: bool, is_complex: boo
         zero = np.zeros(params.shape[:-1])
         return np.stack([zero, params[..., 0], zero, params[..., 1]], axis=-1)
     return params
+
+
+def _bell_value(r: float, z: np.ndarray) -> np.ndarray:
+    """Closed-form Bell values at displacements z[..., :] = (alpha, alpha', beta, beta')."""
+    e = _parity_correlation(r, z[..., :2, None], z[..., None, 2:])
+    return e[..., 0, 0] + e[..., 0, 1] + e[..., 1, 0] - e[..., 1, 1]
 
 
 def bw_displaced_parity_max(
@@ -576,15 +480,18 @@ def bw_displaced_parity_max(
     exp(-r), so the grid and the random starts span [-R, R] with
     R = max(1.2 exp(-r), 0.05).  anchor_zero restricts each party's first
     setting to no displacement, a strictly weaker arrangement.
-    complex_displacements frees all eight real parameters and refines
-    restarts + 1 random starts.  All starts run in lockstep
-    (_nelder_mead_lockstep), each exactly as scipy's Nelder-Mead with
-    xatol = fatol = 1e-10 and maxiter/maxfev 4000/8000 (real) or 6000/12000
-    (complex); a later start wins only if strictly better.  Each round is
-    one batched call of the spectral route (one eigh, no matrix
-    exponential), in real arithmetic for real displacements; the returned
-    value is re-verified against the definition-level route, bw_bell_value,
-    and a disagreement beyond 1e-8, or a NaN, raises ArithmeticError.
+    complex_displacements frees all eight real parameters; its first start
+    is the real grid optimum with zero imaginary parts.  All starts run in
+    lockstep (_nelder_mead_lockstep), each exactly as scipy's Nelder-Mead
+    with xatol = fatol = 1e-10 and maxiter/maxfev 4000/8000 (real) or
+    6000/12000 (complex); a later start wins only if strictly better.  The
+    grid and every round evaluate the closed-form correlation of the
+    untruncated state.  The returned value is the truncated reference,
+    bw_bell_value, at the optimum found; if it disagrees with the closed
+    form by more than 1e-8, or either is NaN, ArithmeticError is raised.
+    Small squeezing needs a cutoff above required_fock_cutoff(r) for that
+    check, because the optimal displacements then reach past the states
+    the tail mass accounts for.
     """
     r = float(r)
     if not math.isfinite(r) or r < 0.0:
@@ -596,28 +503,25 @@ def bw_displaced_parity_max(
         raise ValueError("anchor_zero applies to real displacements only")
     grid_radius = max(1.2 * math.exp(-r), 0.05)
 
-    tables = _DisplacementTables(cutoff_fock, r)
+    start = _grid_start(r, anchor_zero, grid_radius)
     if complex_displacements:
-        starts, size, count, maxiter = [], 8, restarts + 1, 6000
-    else:
-        starts = [_grid_start(tables, anchor_zero, grid_radius)]
-        size, count, maxiter = starts[0].size, restarts, 4000
+        start = np.stack([start, np.zeros_like(start)], axis=-1).ravel()
+    maxiter = 6000 if complex_displacements else 4000
     rng = np.random.default_rng(seed)
-    starts += list(rng.uniform(-grid_radius, grid_radius, size=(count, size)))
+    starts = [start, *rng.uniform(-grid_radius, grid_radius, size=(restarts, start.size))]
 
     def objective(params: np.ndarray) -> np.ndarray:
-        z = _search_displacements(params, anchor_zero, complex_displacements)
-        return -tables.bell_value(z)
+        return -_bell_value(r, _search_displacements(params, anchor_zero, complex_displacements))
 
     sim, fsim = _nelder_mead_lockstep(objective, starts, maxiter=maxiter, maxfev=2 * maxiter)
     best = np.argmin(fsim.min(axis=1))  # first of equal values: a later start must be better
-    value, x = -fsim[best].min(), sim[best, 0]
+    value, x = float(-fsim[best].min()), sim[best, 0]
     z = _search_displacements(x, anchor_zero, complex_displacements)
-    del tables  # release its dim x dim matrices before the expm route allocates
     check = bw_bell_value(cutoff_fock, r, tuple(z[:2]), tuple(z[2:]))
     if not abs(check - value) <= 1e-8:
         raise ArithmeticError(
-            f"displaced-parity spectral route disagrees with the definition route: "
-            f"{value!r} vs {check!r}"
+            f"displaced-parity closed form {value!r} disagrees with the truncated "
+            f"reference {check!r} at cutoff_fock={cutoff_fock} by more than 1e-8; "
+            f"raise cutoff_fock so the reference also covers the displacements"
         )
     return check

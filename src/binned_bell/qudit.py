@@ -37,7 +37,8 @@ import numpy as np
 from ._nelder_mead import _nelder_mead_lockstep
 from .lr_polytope import BinningSpec, CoefficientTensor, _chsh_table, build_coefficients, zeta
 
-DEFAULT_OPERATOR_LIMIT = 64
+# Largest d whose dense d^2 x d^2 Bell operator build_bell_operator builds.
+_OPERATOR_LIMIT = 64
 
 SQRT8 = 2.0 * math.sqrt(2.0)
 
@@ -117,16 +118,6 @@ def _probability_matrix(d: int, alpha: float, beta: float) -> np.ndarray:
     return np.abs(amp) ** 2
 
 
-def joint_probability(
-    d: int, phases: PhaseSettings, a: int, b: int, k: int, l: int
-) -> float:
-    """P(k, l | a, b) on the maximally entangled state, computed directly."""
-    if not (0 <= k < d and 0 <= l < d):
-        raise ValueError(f"outcomes k={k}, l={l} outside 0..{d - 1}")
-    alpha, beta = _offsets(phases, a, b)
-    return float(_probability_matrix(d, alpha, beta)[k, l])
-
-
 def probability_kernel(d: int, x) -> np.ndarray:
     """Closed-form joint probability sin^2(pi x) / (d^3 sin^2(pi x / d)).
 
@@ -172,53 +163,6 @@ def bell_expectation(
             p = matrix(d, alpha, beta)
             total += float((coeffs.eps[a - 1, b - 1] * p).sum())
     return total
-
-
-def t1_cosine_form(phases: PhaseSettings) -> float:
-    """cos(pi(a1+b1)) + cos(pi(a1+b2)) + cos(pi(a2+b1)) - cos(pi(a2+b2)).
-
-    Equals the T1 Bell sum for even d; maximal value 2*sqrt(2) at
-    (0, 1/2, -1/4, 1/4).
-    """
-    a1, a2, b1, b2 = phases.alpha1, phases.alpha2, phases.beta1, phases.beta2
-    return float(
-        np.cos(np.pi * (a1 + b1))
-        + np.cos(np.pi * (a1 + b2))
-        + np.cos(np.pi * (a2 + b1))
-        - np.cos(np.pi * (a2 + b2))
-    )
-
-
-@dataclass(frozen=True)
-class CorrelationFunctions:
-    """Two-outcome correlators E_ab = sum_kl (-1)^(k+l) P_ab(k, l)."""
-
-    e11: float
-    e12: float
-    e21: float
-    e22: float
-
-    def bell_combination(self) -> float:
-        """E11 + E12 + E21 - E22, the CHSH-style combination."""
-        return self.e11 + self.e12 + self.e21 - self.e22
-
-
-def correlation_functions(d: int, phases: PhaseSettings) -> CorrelationFunctions:
-    """Parity correlators of the four setting pairs.
-
-    For even d the (-1)^(k+l) parity coincides with the T1 binning, so
-    bell_combination() equals the T1 Bell sum; at d=2 this is the CHSH
-    correlator set.
-    """
-    sign = np.fromfunction(lambda k, l: (-1.0) ** (k + l), (d, d))
-    values = {}
-    for a in (1, 2):
-        for b in (1, 2):
-            alpha, beta = _offsets(phases, a, b)
-            values[(a, b)] = float((sign * _probability_matrix(d, alpha, beta)).sum())
-    return CorrelationFunctions(
-        e11=values[(1, 1)], e12=values[(1, 2)], e21=values[(2, 1)], e22=values[(2, 2)]
-    )
 
 
 @dataclass(frozen=True)
@@ -274,21 +218,19 @@ def build_bell_operator(
     d: int,
     coeffs: CoefficientTensor,
     phases: PhaseSettings,
-    *,
-    limit: int = DEFAULT_OPERATOR_LIMIT,
 ) -> BellOperatorMatrix:
     """Dense d^2 x d^2 Bell operator for the given coefficients and phases.
 
     Each party's two projector tensors are built once; every setting pair
     (a, b) then contracts its coefficient block between them.  d above
-    `limit` raises ValueError before anything is built.
+    _OPERATOR_LIMIT (64) raises ValueError before anything is built.
     """
     if coeffs.d != d:
         raise ValueError(f"coefficient tensor has d={coeffs.d}, expected {d}")
-    if d > limit:
+    if d > _OPERATOR_LIMIT:
         raise ValueError(
-            f"d={d} exceeds the dense-operator limit {limit} "
-            f"(matrix would be {d * d} x {d * d}); pass a larger limit to proceed"
+            f"d={d} exceeds the dense-operator limit {_OPERATOR_LIMIT} "
+            f"(matrix would be {d * d} x {d * d})"
         )
 
     def projectors(offset: float) -> np.ndarray:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -17,15 +18,16 @@ from binned_bell.cv import (
     AngleDegeneracyWarning,
     CvScenario,
     FockCutoffError,
-    PhaseParityOperator,
     TruncatedTmss,
     _annihilation,
-    _DisplacementTables,
+    _bell_value,
+    _parity_correlation,
+    _phase_parity_matrix,
+    _search_displacements,
     bw_bell_value,
     bw_displaced_parity_max,
     cv_bell_expectation,
     displaced_parity_matrix,
-    phase_state,
     required_fock_cutoff,
     squeezing_threshold,
     tmss_bell_closed_form,
@@ -37,39 +39,49 @@ from binned_bell.cv import (
 S9_R2 = 4.0 * math.sqrt(2.0) * math.tanh(2.0) ** 5 / (1.0 + math.tanh(2.0) ** 10)
 
 
+def phase_states(s: int, theta: float) -> np.ndarray:
+    """Columns |theta, k> = sum_n exp(i n theta_k) |n> / sqrt(s+1), k = 0..s."""
+    n = np.arange(s + 1)[:, None]
+    theta_k = theta + 2.0 * math.pi * np.arange(s + 1)[None, :] / (s + 1)
+    return np.exp(1j * n * theta_k) / math.sqrt(s + 1)
+
+
+def search_box(r: float) -> float:
+    """Half-width of the displacement box the search seeds from."""
+    return max(1.2 * math.exp(-r), 0.05)
+
+
 class TestPhaseStates:
     def test_s1_states(self):
-        assert np.allclose(phase_state(1, 0.0, 0), [1 / math.sqrt(2), 1 / math.sqrt(2)])
-        assert np.allclose(phase_state(1, 0.0, 1), [1 / math.sqrt(2), -1 / math.sqrt(2)])
+        # At theta = 0 the s = 1 phase states are (|0> +/- |1>)/sqrt(2), so
+        # their parity is sigma_x.
+        assert np.allclose(phase_states(1, 0.0), [[1, 1], [1, -1]] / np.sqrt(2))
+        assert np.allclose(_phase_parity_matrix(1, 0.0), [[0.0, 1.0], [1.0, 0.0]])
 
     @pytest.mark.parametrize("s", [1, 3, 9])
     def test_gram_identity(self, s):
         rng = np.random.default_rng(s)
         theta = float(rng.uniform(0, 2 * math.pi))
-        states = np.column_stack([phase_state(s, theta, k) for k in range(s + 1)])
+        states = phase_states(s, theta)
         gram = states.conj().T @ states
         assert np.max(np.abs(gram - np.eye(s + 1))) < 1e-12
-
-    def test_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            phase_state(3, 0.0, 4)
-
-    def test_even_cutoff_rejected(self):
-        with pytest.raises(ValueError):
-            phase_state(2, 0.0, 0)
+        # The parity is diagonal in the phase basis with signs (-1)^k.
+        in_basis = states.conj().T @ _phase_parity_matrix(s, theta) @ states
+        signs = np.diag(np.where(np.arange(s + 1) % 2 == 0, 1.0, -1.0))
+        assert np.max(np.abs(in_basis - signs)) < 1e-12
 
 
 class TestParityOperator:
     @pytest.mark.parametrize("s", [1, 3, 9, 49, 99])
     def test_involution_and_spectrum(self, s):
         rng = np.random.default_rng(s)
-        op = PhaseParityOperator.build(s, float(rng.uniform(0, 2 * math.pi)))
-        assert op.hermiticity_residual() < 1e-12
-        assert op.involution_residual() < 1e-10
-        eigenvalues = np.sort(np.linalg.eigvalsh(op.matrix))
+        matrix = _phase_parity_matrix(s, float(rng.uniform(0, 2 * math.pi)))
+        assert np.max(np.abs(matrix - matrix.conj().T)) < 1e-12
+        assert np.max(np.abs(matrix @ matrix - np.eye(s + 1))) < 1e-10
+        eigenvalues = np.sort(np.linalg.eigvalsh(matrix))
         assert np.allclose(np.abs(eigenvalues), 1.0, atol=1e-10)
         # Parity over s+1 phase states splits evenly for odd s.
-        assert abs(float(np.trace(op.matrix).real)) < 1e-10
+        assert abs(float(np.trace(matrix).real)) < 1e-10
 
 
 class TestTruncatedState:
@@ -224,24 +236,23 @@ class TestDisplacedParity:
 
     def test_correlations_bounded_by_one(self):
         rng = np.random.default_rng(8)
-        cutoff = required_fock_cutoff(0.8)
-        tables = _DisplacementTables(cutoff, 0.8)
-        alphas = rng.uniform(-1, 1, size=6)
-        table = tables.correlation_table(alphas, alphas)
-        assert np.max(np.abs(table)) <= 1.0 + 1e-12
+        for r in (0.0, 0.8, 2.0):
+            alphas = rng.uniform(-1, 1, size=6) + 1j * rng.uniform(-1, 1, size=6)
+            for a in (alphas.real, alphas):
+                table = _parity_correlation(r, a[:, None], a[None, :])
+                assert np.all((table > 0.0) & (table <= 1.0))
 
-    def test_fast_tables_match_definition_route(self):
-        r = 0.9
-        cutoff = required_fock_cutoff(r)
-        tables = _DisplacementTables(cutoff, r)
+    @pytest.mark.parametrize("r", [0.8, 1.2, 1.6, 2.0])
+    def test_closed_form_matches_definition_route(self, r):
+        # At the tail-mass cutoff the reference still drops up to 1e-10 of
+        # the state and truncates the displacement too: at r = 0.8 and
+        # cutoff 28, points across the search box miss by up to 2.4e-9.
+        # 32 more levels leave under 2e-11.
+        cutoff = required_fock_cutoff(r) + 32
         rng = np.random.default_rng(14)
-        for _ in range(5):
-            x = rng.uniform(-0.8, 0.8, size=4)
-            fast = tables.bell_value(x)
-            reference = bw_bell_value(
-                cutoff, r, (complex(x[0]), complex(x[1])), (complex(x[2]), complex(x[3]))
-            )
-            assert abs(fast - reference) < 1e-10
+        for x in rng.uniform(-search_box(r), search_box(r), size=(3, 4)):
+            reference = bw_bell_value(cutoff, r, tuple(x[:2]), tuple(x[2:]))
+            assert abs(_bell_value(r, x) - reference) < 1e-10
 
     def test_tail_mass_formula(self):
         r = 1.1
@@ -282,6 +293,37 @@ class TestDisplacedParity:
         assert anchored < free
         assert abs(anchored - 2.19) < 0.01
 
+    def test_complex_search_starts_from_real_optimum(self):
+        # The complex search's first start is the real grid optimum, so it
+        # reaches the real value where random starts alone stalled near 2.
+        r = 0.6
+        cutoff = required_fock_cutoff(r)
+        real_value = bw_displaced_parity_max(cutoff, r, restarts=3, seed=0)
+        complex_value = bw_displaced_parity_max(
+            cutoff, r, complex_displacements=True, restarts=0, seed=0
+        )
+        assert complex_value >= real_value - 1e-9
+
+    def test_small_squeezing_returns_physical_maximum(self):
+        # The optimum of the untruncated state at r = 0.3; a search on the
+        # truncated generator at this cutoff found 2.1447278 instead.
+        assert abs(bw_displaced_parity_max(9, 0.3, restarts=3, seed=0) - 2.133522) < 1e-6
+
+    def test_small_cutoff_refusal_names_both_values(self):
+        # At r = 0.1 the tail-mass cutoff 4 is too small for the reference
+        # at the optimum; cutoff 8 is enough.  The search itself does not
+        # depend on the cutoff.
+        assert required_fock_cutoff(0.1) == 4
+        with pytest.raises(ArithmeticError, match="raise cutoff_fock") as refusal:
+            bw_displaced_parity_max(4, 0.1, restarts=3, seed=0)
+        closed, reference = re.search(
+            r"closed form ([0-9.]+) disagrees with the truncated reference ([0-9.]+) "
+            r"at cutoff_fock=4",
+            str(refusal.value),
+        ).groups()
+        assert abs(float(closed) - float(reference)) > 1e-8
+        assert abs(bw_displaced_parity_max(8, 0.1, restarts=3, seed=0) - float(closed)) < 1e-15
+
     def test_complex_displacements_find_no_surplus(self):
         # The optimum sits on a real-displacement slice, so the 8-parameter
         # search lands on the same plateau.
@@ -296,50 +338,40 @@ class TestDisplacedParity:
 
 
 class TestSpectralDisplacement:
-    @pytest.mark.parametrize("cutoff", [5, 20, required_fock_cutoff(1.2)])
-    def test_matches_definition_for_complex_alpha(self, cutoff):
-        rng = np.random.default_rng(cutoff)
-        alphas = (rng.normal(size=6) + 1j * rng.normal(size=6)) * 0.4
-        signs = np.where(np.arange(cutoff + 1) % 2 == 0, 1.0, -1.0)
-        spectral = _DisplacementTables(cutoff, 1.2).displacements(alphas) * signs
-        for alpha, op in zip(alphas, spectral):
-            assert np.max(np.abs(op - displaced_parity_matrix(cutoff, alpha))) < 1e-12
-
     def test_complex_objective_matches_definition_route(self):
-        r = 0.9
-        cutoff = required_fock_cutoff(r)
-        tables = _DisplacementTables(cutoff, r)
+        # 32 levels above the tail-mass cutoff, as for real points.
         rng = np.random.default_rng(21)
-        for _ in range(5):
-            z = rng.uniform(-0.8, 0.8, size=4) + 1j * rng.uniform(-0.8, 0.8, size=4)
-            reference = bw_bell_value(cutoff, r, (z[0], z[1]), (z[2], z[3]))
-            assert abs(tables.bell_value(z) - reference) < 1e-10
+        for r in (0.8, 1.2, 1.6, 2.0):
+            cutoff = required_fock_cutoff(r) + 32
+            for params in rng.uniform(-search_box(r), search_box(r), size=(2, 8)):
+                z = _search_displacements(params, False, True)
+                reference = bw_bell_value(cutoff, r, (z[0], z[1]), (z[2], z[3]))
+                assert abs(_bell_value(r, z) - reference) < 1e-10
 
-    @pytest.mark.parametrize("cutoff", [5, 34, 314])
-    def test_real_points_match_complex_route(self, cutoff):
-        # The real route C W C'^T - S W S'^T against D(2 alpha) from
-        # `displacements` at the same points; 314 is the cutoff of r = 2.0.
-        tables = _DisplacementTables(cutoff, 2.0)
-        points = np.random.default_rng(cutoff).uniform(-0.8, 0.8, size=(4, 4))
-        real = tables.bell_value(points)
-        for x, value in zip(points, real):
-            assert abs(value - tables.bell_value(x.astype(complex))) < 1e-12
+    def test_real_points_match_complex_route(self):
+        # A real point and the same point with zero imaginary parts give the
+        # same bits, so the complex search's first start sits on the real
+        # search's grid optimum with the real value.
+        rng = np.random.default_rng(5)
+        for r in (0.0, 0.9, 2.0):
+            points = rng.uniform(-0.8, 0.8, size=(4, 4))
+            params = np.stack([points, np.zeros_like(points)], axis=-1).reshape(4, 8)
+            complex_points = _search_displacements(params, False, True)
+            assert np.array_equal(_bell_value(r, points), _bell_value(r, complex_points))
 
-    @pytest.mark.parametrize("cutoff", [5, required_fock_cutoff(0.9)])
-    def test_batched_bell_value_equals_per_point(self, cutoff):
+    def test_batched_bell_value_equals_per_point(self):
         # The search evaluates a whole round of points in one call, so each
         # value must be the bits of its point alone, whatever the batch.
-        tables = _DisplacementTables(cutoff, 0.9)
-        rng = np.random.default_rng(cutoff)
+        rng = np.random.default_rng(9)
         real = rng.uniform(-0.8, 0.8, size=(12, 4))
         for points in (real, real + 1j * rng.uniform(-0.8, 0.8, size=(12, 4))):
-            single = np.array([tables.bell_value(x) for x in points])
-            assert np.array_equal(tables.bell_value(points), single)
-            assert np.array_equal(tables.bell_value(points[:5]), single[:5])
-            assert np.array_equal(tables.bell_value(points.reshape(3, 4, 4)), single.reshape(3, 4))
-        # Real points: the same bits as the grid route's correlation table.
-        for x, value in zip(real, tables.bell_value(real)):
-            table = tables.correlation_table(x[:2], x[2:])
+            single = np.array([_bell_value(0.9, x) for x in points])
+            assert np.array_equal(_bell_value(0.9, points), single)
+            assert np.array_equal(_bell_value(0.9, points[:5]), single[:5])
+            assert np.array_equal(_bell_value(0.9, points.reshape(3, 4, 4)), single.reshape(3, 4))
+        # Real points: the same bits as the grid's correlation table.
+        for x, value in zip(real, _bell_value(0.9, real)):
+            table = _parity_correlation(0.9, x[:2, None], x[None, 2:])
             assert value == table[0, 0] + table[0, 1] + table[1, 0] - table[1, 1]
 
     def test_real_search_values_frozen(self):
@@ -373,10 +405,10 @@ class TestDisplacedParityGuards:
         with pytest.raises(ValueError, match="anchor_zero"):
             self.search(anchor_zero=True, complex_displacements=True)
 
-    def test_nan_from_spectral_route_fails_the_check(self, monkeypatch):
-        def nan_values(tables, x):
-            return np.full(np.shape(x)[:-1], np.nan)
+    def test_nan_from_closed_form_fails_the_check(self, monkeypatch):
+        def nan_values(r, alpha, beta):
+            return np.full(np.broadcast(alpha, beta).shape, np.nan)
 
-        monkeypatch.setattr(_DisplacementTables, "bell_value", nan_values)
+        monkeypatch.setattr(cv, "_parity_correlation", nan_values)
         with pytest.raises(ArithmeticError, match="disagrees"):
             self.search(restarts=0)

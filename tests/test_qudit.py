@@ -12,25 +12,23 @@ import pytest
 
 import binned_bell
 from binned_bell import cli, qudit
-from binned_bell.cv import _DisplacementTables, _search_displacements
+from binned_bell.cv import _bell_value, _search_displacements
 from binned_bell.lr_polytope import CoefficientTensor, build_coefficients
 from binned_bell.qudit import (
     SQRT8,
     BinningPreset,
     _KernelObjective,
     _nelder_mead_lockstep,
+    _probability_matrix,
     MeasurementBasis,
     PhaseSettings,
     bell_expectation,
     binned_observable,
     build_bell_operator,
-    correlation_functions,
     fourier_basis,
-    joint_probability,
     operator_identity_residual,
     optimize_phases,
     probability_kernel,
-    t1_cosine_form,
 )
 
 OPTIMAL_PHASES = PhaseSettings(0.0, 0.5, -0.25, 0.25)
@@ -47,6 +45,23 @@ def t1_coeffs(d: int) -> CoefficientTensor:
 
 def random_phases(rng: np.random.Generator) -> PhaseSettings:
     return PhaseSettings(*[float(v) for v in rng.uniform(-2.0, 2.0, size=4)])
+
+
+def parity_correlators(d: int, phases: PhaseSettings) -> list[float]:
+    """E_ab = sum_kl (-1)^(k+l) P_ab(k, l) for ab = 11, 12, 21, 22."""
+    sign = np.fromfunction(lambda k, l: (-1.0) ** (k + l), (d, d))
+    return [
+        float((sign * _probability_matrix(d, alpha, beta)).sum())
+        for alpha in (phases.alpha1, phases.alpha2)
+        for beta in (phases.beta1, phases.beta2)
+    ]
+
+
+def cosine_form(phases: PhaseSettings) -> float:
+    """cos(pi(a1+b1)) + cos(pi(a1+b2)) + cos(pi(a2+b1)) - cos(pi(a2+b2))."""
+    a1, a2, b1, b2 = phases.as_array()
+    return float(np.cos(np.pi * (a1 + b1)) + np.cos(np.pi * (a1 + b2))
+                 + np.cos(np.pi * (a2 + b1)) - np.cos(np.pi * (a2 + b2)))
 
 
 def random_preset_free_spec(rng: np.random.Generator, d: int):
@@ -80,10 +95,7 @@ class TestProbabilities:
         for _ in range(10):
             d = int(rng.integers(2, 9))
             phases = random_phases(rng)
-            p = np.array([
-                [joint_probability(d, phases, 1, 2, k, l) for l in range(d)]
-                for k in range(d)
-            ])
+            p = _probability_matrix(d, phases.alpha1, phases.beta2)
             assert p.min() >= -1e-15
             assert abs(p.sum() - 1.0) < 1e-12
 
@@ -91,11 +103,11 @@ class TestProbabilities:
         # With all phase offsets zero the amplitude collapses onto pairs
         # with k + l = 0 mod d, each carrying probability exactly 1/d.
         d = 5
-        phases = PhaseSettings(0.0, 0.0, 0.0, 0.0)
+        p = _probability_matrix(d, 0.0, 0.0)
         for k in range(d):
             for l in range(d):
                 expected = 1.0 / d if (k + l) % d == 0 else 0.0
-                assert abs(joint_probability(d, phases, 1, 1, k, l) - expected) < 1e-12
+                assert abs(p[k, l] - expected) < 1e-12
 
     @pytest.mark.parametrize("d", [2, 3, 6])
     def test_kernel_periodicity_and_normalization(self, d):
@@ -126,13 +138,13 @@ class TestChshReduction:
         assert abs(value - SQRT8) < 1e-9
 
     def test_correlators_at_optimum(self):
-        corr = correlation_functions(2, OPTIMAL_PHASES)
+        e11, e12, e21, e22 = parity_correlators(2, OPTIMAL_PHASES)
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
-        assert abs(corr.e11 - inv_sqrt2) < 1e-12
-        assert abs(corr.e12 - inv_sqrt2) < 1e-12
-        assert abs(corr.e21 - inv_sqrt2) < 1e-12
-        assert abs(corr.e22 + inv_sqrt2) < 1e-12
-        assert abs(corr.bell_combination() - SQRT8) < 1e-12
+        assert abs(e11 - inv_sqrt2) < 1e-12
+        assert abs(e12 - inv_sqrt2) < 1e-12
+        assert abs(e21 - inv_sqrt2) < 1e-12
+        assert abs(e22 + inv_sqrt2) < 1e-12
+        assert abs(e11 + e12 + e21 - e22 - SQRT8) < 1e-12
 
     @pytest.mark.parametrize("d", [2, 4, 6])
     def test_cosine_form_matches_bell_sum_for_even_d(self, d):
@@ -140,16 +152,19 @@ class TestChshReduction:
         for _ in range(8):
             phases = random_phases(rng)
             value = bell_expectation(d, t1_coeffs(d), phases)
-            assert abs(value - t1_cosine_form(phases)) < 1e-10
+            assert abs(value - cosine_form(phases)) < 1e-10
 
     def test_cosine_form_peak(self):
-        assert abs(t1_cosine_form(OPTIMAL_PHASES) - SQRT8) < 1e-14
+        assert abs(cosine_form(OPTIMAL_PHASES) - SQRT8) < 1e-14
+        for d in (4, 6, 8):
+            assert abs(bell_expectation(d, t1_coeffs(d), OPTIMAL_PHASES) - SQRT8) < 1e-12
 
     def test_parity_correlators_equal_t1_bell_sum_for_higher_even_d(self):
         rng = np.random.default_rng(77)
         for d in (4, 8):
             phases = random_phases(rng)
-            combo = correlation_functions(d, phases).bell_combination()
+            e11, e12, e21, e22 = parity_correlators(d, phases)
+            combo = e11 + e12 + e21 - e22
             assert abs(combo - bell_expectation(d, t1_coeffs(d), phases)) < 1e-10
 
 
@@ -175,6 +190,15 @@ class TestBellOperator:
             spec = random_preset_free_spec(rng, d)
             operator = build_bell_operator(d, build_coefficients(spec), random_phases(rng))
             assert operator.spectral_norm() <= SQRT8 + 1e-9
+
+    def test_dimension_above_limit_refused_before_building(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a Fourier basis was built")
+
+        coeffs = t1_coeffs(65)
+        monkeypatch.setattr(qudit, "fourier_basis", unreachable)
+        with pytest.raises(ValueError, match="d=65 exceeds the dense-operator limit 64"):
+            build_bell_operator(65, coeffs, OPTIMAL_PHASES)
 
     def test_norm_is_attained_at_d2_optimum(self):
         operator = build_bell_operator(2, t1_coeffs(2), OPTIMAL_PHASES)
@@ -375,8 +399,6 @@ def lockstep_starts(seed: int, n: int = 4) -> np.ndarray:
     return np.vstack([np.resize([0.0, 0.5, 1.25, 0.0], n), rng.uniform(0.0, 2.0, size=(4, n))])
 
 
-# Squeezing of the displaced-parity objectives; its tail needs cutoff 14.
-CV_R = 0.5
 CV_SEARCHES = {"cv-free": (False, False, 4), "cv-anchored": (True, False, 2),
                "cv-complex": (False, True, 8)}
 
@@ -385,15 +407,16 @@ def search_objective(kind: str, d: int):
     """The minimized objective of a search and its number of parameters.
 
     kind t1/t2/t3 is the phase search at dimension d; a cv-* kind is the
-    displaced-parity search of that arrangement at Fock cutoff d.
+    closed-form displaced-parity search of that arrangement at squeezing
+    r = d / 10.
     """
     if kind not in CV_SEARCHES:
         objective = _KernelObjective(build_coefficients(BinningPreset(kind, d).to_binning_spec()))
         return (lambda x: -objective(x)), 4
     anchor_zero, complex_displacements, n = CV_SEARCHES[kind]
-    tables = _DisplacementTables(d, CV_R)
+    r = d / 10
     return (
-        lambda x: -tables.bell_value(_search_displacements(x, anchor_zero, complex_displacements))
+        lambda x: -_bell_value(r, _search_displacements(x, anchor_zero, complex_displacements))
     ), n
 
 
@@ -402,12 +425,12 @@ class TestLockstepNelderMead:
         "kind,d",
         [("t1", 2), ("t3", 2)]
         + [(k, d) for d in (5, 8, 32) for k in ("t1", "t2", "t3")]
-        + [(k, cutoff) for cutoff in (9, 14) for k in CV_SEARCHES],
+        + [(k, d) for d in (9, 14) for k in CV_SEARCHES],
     )
     @pytest.mark.parametrize("seed", [0, 1])
     def test_every_start_matches_scipy_bit_for_bit(self, kind, d, seed):
         func, n = search_objective(kind, d)
-        # Displacements near the optimum are well below 1 at this squeezing.
+        # Displacements near the optimum are well below 1 at these squeezings.
         starts = lockstep_starts(seed, n) * (0.25 if kind in CV_SEARCHES else 1.0)
         sim, fsim = _nelder_mead_lockstep(func, starts, maxiter=4000, maxfev=8000)
         assert_lockstep_matches_scipy(func, starts, sim, fsim)
