@@ -348,21 +348,23 @@ class TestSpectralDisplacement:
                 reference = bw_bell_value(cutoff, r, (z[0], z[1]), (z[2], z[3]))
                 assert abs(_bell_value(r, z) - reference) < 1e-10
 
-    def test_real_points_match_complex_route(self):
+    @pytest.mark.parametrize("seed", [5, 34, 314])
+    def test_real_points_match_complex_route(self, seed):
         # A real point and the same point with zero imaginary parts give the
         # same bits, so the complex search's first start sits on the real
         # search's grid optimum with the real value.
-        rng = np.random.default_rng(5)
+        rng = np.random.default_rng(seed)
         for r in (0.0, 0.9, 2.0):
             points = rng.uniform(-0.8, 0.8, size=(4, 4))
             params = np.stack([points, np.zeros_like(points)], axis=-1).reshape(4, 8)
             complex_points = _search_displacements(params, False, True)
             assert np.array_equal(_bell_value(r, points), _bell_value(r, complex_points))
 
-    def test_batched_bell_value_equals_per_point(self):
+    @pytest.mark.parametrize("seed", [5, 34])
+    def test_batched_bell_value_equals_per_point(self, seed):
         # The search evaluates a whole round of points in one call, so each
         # value must be the bits of its point alone, whatever the batch.
-        rng = np.random.default_rng(9)
+        rng = np.random.default_rng(seed)
         real = rng.uniform(-0.8, 0.8, size=(12, 4))
         for points in (real, real + 1j * rng.uniform(-0.8, 0.8, size=(12, 4))):
             single = np.array([_bell_value(0.9, x) for x in points])
