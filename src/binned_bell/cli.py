@@ -26,10 +26,6 @@ from . import cv
 from . import lr_polytope as lr
 from . import qudit
 
-DEFAULT_GUARD_D = 32
-
-_PRESET_KINDS = ("t1", "t2", "t3")
-
 
 # ---------------------------------------------------------------------------
 # Deterministic serialization
@@ -70,16 +66,11 @@ def to_json_text(obj, indent: int = 0) -> str:
 
 
 def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format_float(value)
-    text = str(value)
-    if any(ch in text for ch in ",\"\n"):
-        text = '"' + text.replace('"', '""') + '"'
-    return text
+    if not isinstance(value, str):
+        return _scalar_text(value)
+    if any(ch in value for ch in ",\"\n"):
+        return '"' + value.replace('"', '""') + '"'
+    return value
 
 
 def records_to_csv(records: list[dict]) -> str:
@@ -123,7 +114,8 @@ def _config_actions(subparser: argparse.ArgumentParser) -> dict[str, argparse.Ac
 
 
 def load_config(path: str, actions: dict[str, argparse.Action]) -> dict:
-    """key=value lines, converted and checked against choices as flags are."""
+    """key=value lines, converted by each option's type and checked against
+    its choices as flags are; every error names the file, line and key."""
     values = {}
     with open(path, "r", encoding="ascii") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -140,6 +132,8 @@ def load_config(path: str, actions: dict[str, argparse.Action]) -> dict:
             value = value.strip()
             try:
                 value = (action.type or str)(value)
+            except argparse.ArgumentTypeError as exc:
+                raise ValueError(f"{path}:{lineno}: config key {key!r}: {exc}") from None
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: config key {key!r}: "
                                  f"invalid {action.type.__name__} value {value!r}") from None
@@ -150,27 +144,29 @@ def load_config(path: str, actions: dict[str, argparse.Action]) -> dict:
     return values
 
 
-def _parse_subset_tokens(text: str, flag: str) -> tuple[int, ...]:
+def _subset_tokens(text: str) -> tuple[int, ...]:
+    """IDX[,IDX...] -> outcome indices (type of --r1/--r2/--s1/--s2)."""
     indices = []
     for token in text.split(","):
         token = token.strip()
         try:
             indices.append(int(token))
         except ValueError:
-            raise ValueError(f"invalid subset token {token!r} in {flag}") from None
+            raise argparse.ArgumentTypeError(f"invalid subset token {token!r}") from None
     return tuple(indices)
 
 
-def _parse_delta_tokens(text: str) -> tuple[float, ...]:
+def _delta_tokens(text: str) -> tuple[float, ...]:
+    """Comma-separated deficits in (0, 2*sqrt(2) - 2) (type of --delta)."""
     deltas = []
     for token in text.split(","):
         token = token.strip()
         try:
             value = float(token)
         except ValueError:
-            raise ValueError(f"invalid delta token {token!r}") from None
+            raise argparse.ArgumentTypeError(f"invalid delta token {token!r}") from None
         if not 0.0 < value < cv.SQRT8 - 2.0:
-            raise ValueError(
+            raise argparse.ArgumentTypeError(
                 f"delta {token!r} outside (0, {cv.SQRT8 - 2.0:.12g})"
             )
         deltas.append(value)
@@ -183,9 +179,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     common.add_argument("--format", choices=("csv", "json"), default=None,
                         help="output format (default: csv for scans, json for reports)")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
-    common.add_argument("--guard-d", type=int, default=DEFAULT_GUARD_D,
+    common.add_argument("--guard-d", type=int, default=lr.DEFAULT_ENUMERATION_LIMIT,
                         help="upper bound on dimensions that trigger enumeration or "
-                             f"optimization (default {DEFAULT_GUARD_D})")
+                             "optimization (default %(default)s)")
     common.add_argument("--config", default=None,
                         help="key=value file supplying flag defaults")
 
@@ -202,7 +198,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = subparsers["scan-qudit"] = sub.add_parser(
         "scan-qudit", parents=[common],
         help="optimize the Bell value over phases for a dimension range")
-    p.add_argument("--binning", choices=_PRESET_KINDS, default=None)
+    p.add_argument("--binning", choices=qudit.BinningPreset._KINDS, default=None)
     p.add_argument("--dmin", type=int, default=2)
     p.add_argument("--dmax", type=int, default=None)
     p.add_argument("--window", type=float, default=2.0,
@@ -214,9 +210,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         "tightness", parents=[common],
         help="enumeration certificate for one binned inequality")
     p.add_argument("--d", type=int, default=None)
-    p.add_argument("--preset", choices=_PRESET_KINDS, default=None)
+    p.add_argument("--preset", choices=qudit.BinningPreset._KINDS, default=None)
     for flag in ("--r1", "--r2", "--s1", "--s2"):
-        p.add_argument(flag, default=None, metavar="IDX[,IDX...]")
+        p.add_argument(flag, type=_subset_tokens, default=None, metavar="IDX[,IDX...]")
 
     p = subparsers["scan-cv"] = sub.add_parser(
         "scan-cv", parents=[common],
@@ -230,7 +226,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         "threshold", parents=[common],
         help="squeezing thresholds for near-maximal violation")
     p.add_argument("--smax", type=int, default=99)
-    p.add_argument("--delta", default="0.01,0.001,0.0001",
+    p.add_argument("--delta", type=_delta_tokens, default="0.01,0.001,0.0001",
                    help="comma-separated deficits from the quantum bound")
 
     p = subparsers["certify"] = sub.add_parser(
@@ -309,11 +305,7 @@ def cmd_tightness(args, parser: argparse.ArgumentParser) -> int:
         if any(flag is None for flag in subset_flags):
             parser.error("need --preset or all of --r1 --r2 --s1 --s2")
         try:
-            r1 = _parse_subset_tokens(args.r1, "--r1")
-            r2 = _parse_subset_tokens(args.r2, "--r2")
-            s1 = _parse_subset_tokens(args.s1, "--s1")
-            s2 = _parse_subset_tokens(args.s2, "--s2")
-            spec = lr.BinningSpec(d=args.d, r1=r1, r2=r2, s1=s1, s2=s2)
+            spec = lr.BinningSpec(d=args.d, r1=args.r1, r2=args.r2, s1=args.s1, s2=args.s2)
         except ValueError as exc:
             parser.error(str(exc))
     report = lr.tightness_certificate(spec, limit=args.guard_d)
@@ -361,10 +353,6 @@ def cmd_scan_cv(args, parser: argparse.ArgumentParser) -> int:
 def cmd_threshold(args, parser: argparse.ArgumentParser) -> int:
     if args.smax < 1:
         parser.error(f"need smax >= 1, got {args.smax}")
-    try:
-        deltas = _parse_delta_tokens(args.delta)
-    except ValueError as exc:
-        parser.error(str(exc))
     records = []
     for s in range(1, args.smax + 1, 2):
         r_boundary = cv.violation_boundary_r(s)
@@ -377,7 +365,7 @@ def cmd_threshold(args, parser: argparse.ArgumentParser) -> int:
             "bell_value": cv.tmss_bell_closed_form(s, r_boundary),
             "round_trip_error": abs(cv.tmss_bell_closed_form(s, r_boundary) - 2.0),
         })
-        for delta in deltas:
+        for delta in args.delta:
             th = cv.squeezing_threshold(s, delta)
             bell = cv.tmss_bell_closed_form(s, th.r_min)
             records.append({
@@ -527,33 +515,23 @@ _COMMANDS = {
     "certify": cmd_certify,
 }
 
-def _extract_config_path(argv: list[str]) -> str | None:
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            return argv[i + 1]
-        if token.startswith("--config="):
-            return token.partition("=")[2]
-    return None
-
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = build_parser()
-    # Config defaults must be in place before parsing, so look for the
-    # config flag and the subcommand token by hand first; flags still win
-    # because explicit arguments override defaults.
-    config_path = _extract_config_path(argv)
-    command = next((token for token in argv if token in subparsers), None)
-    if config_path is not None and command is not None:
-        # Keys of sibling subcommands are valid in the file and ignored here.
-        known = _config_actions(subparsers[command])
+    args = parser.parse_args(argv)
+    if args.config is not None:
+        # The file's values become the subcommand's defaults, and parsing
+        # again lets explicit flags win.  Keys of sibling subcommands are
+        # valid in the file and ignored here.
+        subparser = subparsers[args.command]
+        known = _config_actions(subparser)
         actions = {k: a for p in subparsers.values() for k, a in _config_actions(p).items()}
         try:
-            config = load_config(config_path, actions)
+            config = load_config(args.config, actions)
         except (OSError, ValueError) as exc:
             parser.error(str(exc))
-        subparsers[command].set_defaults(**{k: v for k, v in config.items() if k in known})
-    args = parser.parse_args(argv)
+        subparser.set_defaults(**{k: v for k, v in config.items() if k in known})
+        args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args, parser)
     except lr.EnumerationLimitError as exc:

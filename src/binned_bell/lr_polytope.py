@@ -28,7 +28,7 @@ never touch floating point.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable
 
 import numpy as np
@@ -303,15 +303,7 @@ class TightnessReport:
     is_tight_by_count: bool
 
     def to_dict(self) -> dict:
-        return {
-            "lr_max": self.lr_max,
-            "m_counted": self.m_counted,
-            "m_formula": self.m_formula,
-            "threshold": self.threshold,
-            "linear_rank": self.linear_rank,
-            "affine_rank": self.affine_rank,
-            "is_tight_by_count": self.is_tight_by_count,
-        }
+        return asdict(self)
 
 
 def tightness_certificate(

@@ -101,14 +101,6 @@ class MeasurementBasis:
         return float(np.abs(g - np.eye(self.d)).max())
 
 
-def _offsets(phases: PhaseSettings, a: int, b: int) -> tuple[float, float]:
-    if a not in (1, 2) or b not in (1, 2):
-        raise ValueError(f"settings a, b must be 1 or 2, got a={a}, b={b}")
-    alpha = phases.alpha1 if a == 1 else phases.alpha2
-    beta = phases.beta1 if b == 1 else phases.beta2
-    return alpha, beta
-
-
 def _probability_matrix(d: int, alpha: float, beta: float) -> np.ndarray:
     """P[k, l] from direct inner products of basis vectors with |psi>."""
     u = fourier_basis(d, alpha)
@@ -132,12 +124,6 @@ def probability_kernel(d: int, x) -> np.ndarray:
     return out
 
 
-def _kernel_probability_matrix(d: int, alpha: float, beta: float) -> np.ndarray:
-    k = np.arange(d)
-    x = k[:, None] + k[None, :] + alpha + beta
-    return probability_kernel(d, x)
-
-
 def bell_expectation(
     d: int,
     coeffs: CoefficientTensor,
@@ -148,20 +134,19 @@ def bell_expectation(
     """Bell sum sum_ab sum_kl eps_ab(k, l) P_ab(k, l).
 
     method="direct" evaluates probabilities from basis inner products
-    (the reference path); method="kernel" uses the closed-form kernel.
-    The two agree to 1e-10.
+    (the reference path); method="kernel" uses the optimizer's closed-form
+    objective.  The two agree to 1e-10.
     """
     if coeffs.d != d:
         raise ValueError(f"coefficient tensor has d={coeffs.d}, expected {d}")
     if method not in ("direct", "kernel"):
         raise ValueError(f"unknown method {method!r}")
-    matrix = _probability_matrix if method == "direct" else _kernel_probability_matrix
+    if method == "kernel":
+        return float(_KernelObjective(coeffs)(phases.as_array()))
     total = 0.0
-    for a in (1, 2):
-        for b in (1, 2):
-            alpha, beta = _offsets(phases, a, b)
-            p = matrix(d, alpha, beta)
-            total += float((coeffs.eps[a - 1, b - 1] * p).sum())
+    for alpha, eps_a in ((phases.alpha1, coeffs.eps[0]), (phases.alpha2, coeffs.eps[1])):
+        for beta, eps_ab in zip((phases.beta1, phases.beta2), eps_a):
+            total += float((eps_ab * _probability_matrix(d, alpha, beta)).sum())
     return total
 
 
@@ -206,9 +191,6 @@ class BellOperatorMatrix:
 
     d: int
     matrix: np.ndarray
-
-    def hermiticity_residual(self) -> float:
-        return float(np.abs(self.matrix - self.matrix.conj().T).max())
 
     def spectral_norm(self) -> float:
         return float(np.abs(np.linalg.eigvalsh(self.matrix)).max())

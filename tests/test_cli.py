@@ -321,6 +321,51 @@ class TestDeterminismAndConfig:
             f"error: {config}:2: config key 'dmax': invalid int value 'abc'"
         )
 
+    def test_last_config_flag_wins(self, capsys, tmp_path):
+        # --config is an ordinary argparse option, so its last value wins.
+        first = tmp_path / "first.cfg"
+        first.write_text("binning=t1\ndmax=3\ngrid_points=9\nrestarts=1\n")
+        second = tmp_path / "second.cfg"
+        second.write_text("binning=t3\ndmax=2\ngrid_points=9\nrestarts=1\n")
+        _, expected, _ = run(capsys, "scan-qudit", "--binning", "t3", "--dmax", "2",
+                             "--grid-points", "9", "--restarts", "1")
+        code, out, _ = run(capsys, "scan-qudit", "--config", str(first),
+                           "--config", str(second))
+        assert code == 0
+        assert out == expected
+
+    @pytest.mark.parametrize("command,key,line,message", [
+        ("tightness", "r1", "r1=0,x\nd=3\nr2=0\ns1=0\ns2=0", "invalid subset token 'x'"),
+        ("threshold", "delta", "delta=0.01,2", "delta '2' outside (0, 0.828427124746)"),
+    ], ids=["r1", "delta"])
+    def test_config_list_value_names_file_line_and_key(self, capsys, tmp_path,
+                                                       command, key, line, message):
+        # List values are converted by the flag's own type, and a bad one is
+        # reported with its place in the file like every other key.
+        config = tmp_path / "bad.cfg"
+        config.write_text(line + "\n")
+        err = run_usage_error(capsys, command, "--config", str(config))
+        assert err.count("error:") == 1
+        assert err.splitlines()[-1].endswith(
+            f"error: {config}:1: config key {key!r}: {message}"
+        )
+
+    def test_config_list_values_equal_flags(self, capsys, tmp_path):
+        cases = [
+            (("tightness", "--d", "3", "--r1", "0", "--r2", "0,1", "--s1", "0", "--s2", "1"),
+             "d=3\nr1=0\nr2=0,1\ns1=0\ns2=1\n"),
+            (("threshold", "--smax", "9", "--delta", "1e-2,1e-3"),
+             "smax=9\ndelta=1e-2,1e-3\n"),
+        ]
+        for i, (flags, text) in enumerate(cases):
+            config = tmp_path / f"values{i}.cfg"
+            config.write_text(text)
+            code, expected, _ = run(capsys, *flags)
+            assert code == 0
+            code, out, _ = run(capsys, flags[0], "--config", str(config))
+            assert code == 0
+            assert out == expected
+
     def test_malformed_config_line(self, capsys, tmp_path):
         config = tmp_path / "bad.cfg"
         config.write_text("dmax\n")
