@@ -104,12 +104,12 @@ def _write_text(text: str, out_path: str | None) -> None:
 # Config file and argument plumbing
 
 def _config_actions(subparser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
-    """Config keys a subcommand accepts and their options: every
-    single-value option except --config.  Flags always win over the file."""
+    """Config keys a subcommand knows and their options: every option except
+    --help and --config.  Flags always win over the file."""
     return {
         action.dest: action
         for action in subparser._actions
-        if action.option_strings and action.nargs is None and action.dest != "config"
+        if action.option_strings and action.dest not in ("help", "config")
     }
 
 
@@ -129,6 +129,9 @@ def load_config(path: str, actions: dict[str, argparse.Action]) -> dict:
             if key not in actions:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             action = actions[key]
+            if action.nargs == 0:
+                raise ValueError(f"{path}:{lineno}: config key {key!r} is a switch; "
+                                 f"pass {action.option_strings[0]} on the command line")
             value = value.strip()
             try:
                 value = (action.type or str)(value)
@@ -519,23 +522,25 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser, subparsers = build_parser()
     args = parser.parse_args(argv)
+    # Every usage error after parsing is reported by the subcommand's parser,
+    # as argparse reports a flag's conversion error.
+    subparser = subparsers[args.command]
     if args.config is not None:
         # The file's values become the subcommand's defaults, and parsing
         # again lets explicit flags win.  Keys of sibling subcommands are
         # valid in the file and ignored here.
-        subparser = subparsers[args.command]
         known = _config_actions(subparser)
         actions = {k: a for p in subparsers.values() for k, a in _config_actions(p).items()}
         try:
             config = load_config(args.config, actions)
         except (OSError, ValueError) as exc:
-            parser.error(str(exc))
+            subparser.error(str(exc))
         subparser.set_defaults(**{k: v for k, v in config.items() if k in known})
         args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args, parser)
+        return _COMMANDS[args.command](args, subparser)
     except lr.EnumerationLimitError as exc:
-        parser.error(str(exc))
+        subparser.error(str(exc))
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -295,6 +295,38 @@ class TestDeterminismAndConfig:
                               "--config", str(config))
         assert "bogus" in err
 
+    def test_config_switch_names_its_flag(self, capsys, tmp_path):
+        # A switch takes no value, so a file cannot set it; the message says
+        # which flag to pass instead.
+        config = tmp_path / "switch.cfg"
+        config.write_text("trials=1\nmutate_eps22=true\n")
+        err = run_usage_error(capsys, "certify", "--config", str(config))
+        assert err.splitlines()[-1] == (
+            f"binned-bell certify: error: {config}:2: config key 'mutate_eps22' "
+            "is a switch; pass --mutate-eps22 on the command line"
+        )
+
+    @pytest.mark.parametrize("argv,config_line", [
+        pytest.param(("scan-qudit", "--binning", "t1"), None, id="scan-qudit-missing-dmax"),
+        pytest.param(("tightness", "--d", "4", "--r1", "0"), None, id="tightness-missing-subsets"),
+        pytest.param(("scan-cv", "--s", "4"), None, id="scan-cv-even-s"),
+        pytest.param(("threshold", "--smax", "0"), None, id="threshold-smax-0"),
+        pytest.param(("certify", "--trials", "-1"), None, id="certify-negative-trials"),
+        pytest.param(("tightness", "--d", "3"), "bogus=1", id="config-unknown-key"),
+        pytest.param(("threshold",), "smax", id="config-malformed-line"),
+    ])
+    def test_usage_errors_name_the_subcommand(self, capsys, tmp_path, argv, config_line):
+        # Handler checks and config-file errors read as argparse's own
+        # errors do: the subcommand's usage, then "binned-bell SUB: error:".
+        if config_line is not None:
+            config = tmp_path / "bad.cfg"
+            config.write_text(config_line + "\n")
+            argv = (*argv, "--config", str(config))
+        err = run_usage_error(capsys, *argv)
+        assert err.startswith(f"usage: binned-bell {argv[0]} ")
+        assert err.count("error:") == 1
+        assert err.splitlines()[-1].startswith(f"binned-bell {argv[0]}: error: ")
+
     @pytest.mark.parametrize("command,line", [
         (("threshold", "--smax", "3"), "format=xml"),
         (("scan-qudit", "--dmax", "2"), "binning=t9"),
@@ -382,14 +414,18 @@ class TestDeterminismAndConfig:
 
 class TestImportCost:
     def test_package_import_leaves_scipy_unloaded(self):
-        # scipy.linalg is imported by the function that uses it, and
-        # scipy.optimize nowhere, so `threshold` and `tightness` never pay.
+        # scipy is a test dependency only: neither the import nor a real and
+        # a complex displaced-parity search with its reference check loads it.
         src = os.path.dirname(os.path.dirname(os.path.abspath(binned_bell.__file__)))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         code = (
-            "import sys, binned_bell, binned_bell.cli; "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules))"
+            "import sys, binned_bell, binned_bell.cli\n"
+            "from binned_bell import bw_displaced_parity_max, required_fock_cutoff\n"
+            "cutoff = required_fock_cutoff(0.8)\n"
+            "bw_displaced_parity_max(cutoff, 0.8, restarts=0)\n"
+            "bw_displaced_parity_max(cutoff, 0.8, complex_displacements=True, restarts=0)\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
         )
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True

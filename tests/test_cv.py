@@ -19,7 +19,6 @@ from binned_bell.cv import (
     CvScenario,
     FockCutoffError,
     TruncatedTmss,
-    _annihilation,
     _bell_value,
     _parity_correlation,
     _phase_parity_matrix,
@@ -44,6 +43,14 @@ def phase_states(s: int, theta: float) -> np.ndarray:
     n = np.arange(s + 1)[:, None]
     theta_k = theta + 2.0 * math.pi * np.arange(s + 1)[None, :] / (s + 1)
     return np.exp(1j * n * theta_k) / math.sqrt(s + 1)
+
+
+def annihilation(dim: int) -> np.ndarray:
+    """The truncated annihilation operator: a|n> = sqrt(n) |n-1>."""
+    a = np.zeros((dim, dim))
+    n = np.arange(1, dim)
+    a[n - 1, n] = np.sqrt(n)
+    return a
 
 
 def search_box(r: float) -> float:
@@ -210,7 +217,7 @@ class TestThreshold:
 class TestDisplacedParity:
     def test_matches_conjugation_definition(self):
         cutoff = 20
-        a = _annihilation(cutoff + 1)
+        a = annihilation(cutoff + 1)
         parity = np.diag(np.where(np.arange(cutoff + 1) % 2 == 0, 1.0, -1.0))
         rng = np.random.default_rng(4)
         for _ in range(5):
@@ -222,13 +229,40 @@ class TestDisplacedParity:
     @pytest.mark.parametrize("cutoff", [5, 40])
     def test_real_alpha_matches_complex_generator(self, cutoff):
         # Real alpha exponentiates the real generator and returns a real matrix.
-        a = _annihilation(cutoff + 1)
+        a = annihilation(cutoff + 1)
         signs = np.where(np.arange(cutoff + 1) % 2 == 0, 1.0, -1.0)
         for alpha in (0.37, -0.8, complex(0.21), 0.0):
             op = displaced_parity_matrix(cutoff, alpha)
             assert op.dtype == np.float64
             generator = 2.0 * complex(alpha) * (a.T - a).astype(complex)
             assert np.max(np.abs(op - scipy.linalg.expm(generator) * signs)) < 1e-13
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, -0.2, 0.1 + 0.05j, -1.1 + 0.4j])
+    def test_matches_generator_exponential_at_largest_cutoff(self, alpha):
+        # Cutoff 314 is the reference's Fock space at r = 2.0, the largest
+        # the searches run at.  Negative and complex alpha take the rotation
+        # R = diag(e^{i n arg alpha}); real alpha stays float64.
+        cutoff = 314
+        a = annihilation(cutoff + 1)
+        generator = 2.0 * (alpha * a.T - np.conjugate(alpha) * a)
+        signs = np.where(np.arange(cutoff + 1) % 2 == 0, 1.0, -1.0)
+        op = displaced_parity_matrix(cutoff, alpha)
+        assert op.dtype == (np.float64 if isinstance(alpha, float) else np.complex128)
+        assert np.max(np.abs(op - scipy.linalg.expm(generator) * signs)) < 1e-13
+
+    def test_bell_value_takes_one_eigendecomposition(self, monkeypatch):
+        # The four displaced parities share one spectrum of the generator.
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(matrix, *args, **kwargs):
+            shapes.append(matrix.shape)
+            return eigh(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        cutoff = required_fock_cutoff(0.8)
+        bw_bell_value(cutoff, 0.8, (0.1, -0.2 + 0.1j), (0.0, -0.3))
+        assert shapes == [(cutoff + 1, cutoff + 1)]
 
     def test_is_involution(self):
         op = displaced_parity_matrix(15, 0.3 - 0.2j)
