@@ -9,7 +9,7 @@ randomized property suites.
 
 Scan output is CSV by default (one row per point, header first); reports
 are JSON.  Floats are serialized with 17 significant digits and a `.`
-decimal separator so identical flags and seed give byte-identical output.
+decimal separator so identical flags give byte-identical output.
 Exit codes: 0 success, 1 property or I/O failure, 2 usage error.
 """
 
@@ -181,7 +181,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     common.add_argument("--out", default=None, help="output path (default: stdout)")
     common.add_argument("--format", choices=("csv", "json"), default=None,
                         help="output format (default: csv for scans, json for reports)")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
+    common.add_argument("--seed", type=int, default=0,
+                        help="seed of certify's random trials (the other subcommands "
+                             "are deterministic and ignore it)")
     common.add_argument("--guard-d", type=int, default=lr.DEFAULT_ENUMERATION_LIMIT,
                         help="upper bound on dimensions that trigger enumeration or "
                              "optimization (default %(default)s)")
@@ -204,10 +206,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--binning", choices=qudit.BinningPreset._KINDS, default=None)
     p.add_argument("--dmin", type=int, default=2)
     p.add_argument("--dmax", type=int, default=None)
-    p.add_argument("--window", type=float, default=2.0,
-                   help="phase search window [0, window) per setting")
-    p.add_argument("--grid-points", type=int, default=17)
-    p.add_argument("--restarts", type=int, default=5)
 
     p = subparsers["tightness"] = sub.add_parser(
         "tightness", parents=[common],
@@ -266,17 +264,7 @@ def cmd_scan_qudit(args, parser: argparse.ArgumentParser) -> int:
             preset.to_binning_spec()
         except ValueError as exc:
             parser.error(f"binning {args.binning} invalid at d={d}: {exc}")
-        try:
-            phases, value = qudit.optimize_phases(
-                d,
-                preset,
-                window=args.window,
-                grid_points=args.grid_points,
-                restarts=args.restarts,
-                seed=args.seed,
-            )
-        except ValueError as exc:
-            parser.error(f"phase search invalid at d={d}: {exc}")
+        phases, value = qudit.optimize_phases(d, preset)
         records.append({
             "d": d,
             "binning": args.binning,

@@ -320,7 +320,7 @@ def required_fock_cutoff(r: float) -> int:
     The cutoff grows like exp(2r) for large r.  The displaced-parity
     reference builds dense (cutoff+1)^2 matrices from one eigendecomposition
     of that size: at r = 3 (cutoff 2,322) one bw_bell_value call takes
-    about 4 s and 0.5 GB on one CPU core with single-threaded BLAS, and
+    about 5 s and up to 0.4 GB on one CPU core with single-threaded BLAS, and
     r = 5 already asks for 126,794.
     """
     r = float(r)
@@ -353,7 +353,7 @@ def _check_fock_cutoff(cutoff_fock: int, r: float) -> int:
             f"{tmss_tail_mass(cutoff_fock, r):.3e} >= {DEFAULT_TAIL_MASS:.3e} at r={r}; "
             f"use cutoff >= {required_fock_cutoff(r)} (the displaced-parity "
             f"reference builds dense (cutoff+1)^2 matrices; at r = 3, cutoff 2,322, "
-            f"one evaluation takes about 4 s and 0.5 GB)"
+            f"one evaluation takes about 5 s and up to 0.4 GB)"
         )
     return cutoff_fock
 
@@ -374,12 +374,14 @@ def _displacement_spectrum(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     sin(x T) on odd m - n, and conjugation by S = diag(i^n) turns
     V (cos + sin)(x lam) V^T into exp(x (a^dagger - a)) once entry (m, n)
     is multiplied by +1 where (m - n) mod 4 is 0 or 1 and by -1 otherwise.
-    signs holds that pattern times the parity (-1)^n of column n.
+    That pattern times the parity (-1)^n of column n is the same for rows m
+    and m + 4, so signs holds only its first four rows: row m of the matrix
+    takes signs[m % 4].
     """
     n = np.arange(dim)
     off = np.sqrt(n[1:].astype(float))
     lam, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    signs = np.where((n[:, None] - n) % 4 < 2, 1.0, -1.0) * (-1.0) ** n
+    signs = np.where((n[:4, None] - n) % 4 < 2, 1.0, -1.0) * (-1.0) ** n
     return lam, v, signs
 
 
@@ -390,7 +392,9 @@ def _displaced_parity(lam: np.ndarray, v: np.ndarray, signs: np.ndarray,
     # commutes with P; for negative real alpha R = diag((-1)^n) exactly.
     alpha = complex(alpha)
     theta = 2.0 * abs(alpha) * lam
-    matrix = ((v * (np.cos(theta) + np.sin(theta))) @ v.T) * signs
+    matrix = (v * (np.cos(theta) + np.sin(theta))) @ v.T
+    for k, row in enumerate(signs):
+        matrix[k::4] *= row
     if alpha.imag == 0.0 and alpha.real >= 0.0:
         return matrix
     n = np.arange(lam.size)
@@ -398,7 +402,9 @@ def _displaced_parity(lam: np.ndarray, v: np.ndarray, signs: np.ndarray,
         rotation = (-1.0) ** n
     else:
         rotation = np.exp(1j * math.atan2(alpha.imag, alpha.real) * n)
-    return rotation[:, None] * matrix * rotation.conj()
+    matrix = rotation[:, None] * matrix
+    matrix *= rotation.conj()
+    return matrix
 
 
 def displaced_parity_matrix(cutoff_fock: int, alpha: complex) -> np.ndarray:
@@ -447,14 +453,14 @@ def bw_bell_value(
     cutoff_fock = _check_fock_cutoff(cutoff_fock, r)
     c = _tmss_amplitudes(cutoff_fock, r)
     spectrum = _displacement_spectrum(cutoff_fock + 1)
-    pa = [_displaced_parity(*spectrum, alpha) for alpha in alphas]
     pb = [_displaced_parity(*spectrum, beta) for beta in betas]
-    return (
-        _schmidt_correlation(c, pa[0], pb[0])
-        + _schmidt_correlation(c, pa[0], pb[1])
-        + _schmidt_correlation(c, pa[1], pb[0])
-        - _schmidt_correlation(c, pa[1], pb[1])
-    )
+    e = []
+    for alpha in alphas:
+        # One alpha matrix at a time, freed before the next one is built.
+        pa = _displaced_parity(*spectrum, alpha)
+        e += [_schmidt_correlation(c, pa, q) for q in pb]
+        del pa
+    return e[0] + e[1] + e[2] - e[3]
 
 
 def _grid_start(r: float, anchor_zero: bool, grid_radius: float) -> np.ndarray:

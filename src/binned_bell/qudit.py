@@ -33,9 +33,10 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._nelder_mead import _nelder_mead_lockstep
-from .lr_polytope import BinningSpec, CoefficientTensor, _chsh_table, build_coefficients, zeta
+from .lr_polytope import BinningSpec, CoefficientTensor, build_coefficients, zeta
 
 # Largest d whose dense d^2 x d^2 Bell operator build_bell_operator builds.
 _OPERATOR_LIMIT = 64
@@ -310,71 +311,64 @@ class _KernelObjective:
         return f[..., 0] + f[..., 1] + f[..., 2] + f[..., 3]
 
 
-# Nelder-Mead caps of the phase search (per start).
+# Nelder-Mead caps of the phase search.
 _NM_MAXITER = 4000
 _NM_MAXFEV = 8000
 
 
-def optimize_phases(
-    d: int,
-    preset: BinningPreset | str,
-    *,
-    window: float = 2.0,
-    grid_points: int = 17,
-    restarts: int = 5,
-    seed: int = 0,
-) -> tuple[PhaseSettings, float]:
+def _grid_start(objective: _KernelObjective) -> tuple[list[float], float]:
+    """Best point (a1, a2, b2) of the gauge-fixed grid t_j = j d / N, N = 16 d.
+
+    With fv[j] = f(t_j), h+[m] = max_j fv[j] + fv[j+m] and h-[m] = max_j
+    fv[j] - fv[j+m] (indices mod N); m is the first argmax of h+ + h-.
+    Returns (t[j+], t[j-], t[m]) and h+[m] + h-[m].
+    """
+    d = objective.d
+    n = 16 * d
+    t = np.arange(n) * (d / n)
+    fv = objective.pair_value(0, 0, t)
+    # shifted[m, j] = fv[(j + m) % n], a view: no N x N index table.
+    shifted = sliding_window_view(np.concatenate([fv, fv[:-1]]), n)
+    plus, minus = fv + shifted, fv - shifted
+    j_plus, j_minus = plus.argmax(axis=1), minus.argmax(axis=1)
+    h = plus[np.arange(n), j_plus] + minus[np.arange(n), j_minus]
+    m = int(np.argmax(h))
+    return [t[j_plus[m]], t[j_minus[m]], t[m]], float(h[m])
+
+
+def optimize_phases(d: int, preset: BinningPreset | str) -> tuple[PhaseSettings, float]:
     """Best-found phases and Bell value for a binning preset.
 
-    A coarse grid over [0, window)^4 (grid_points per axis) seeds a
-    Nelder-Mead refinement, together with seeded random restarts.  window=2.0
-    matches the period-2 structure of the even-d parity landscape; pass
-    window=d to search one full period of any binning (the kernel has exact
-    period d in every offset).  All restarts + 1 starts run in lockstep
-    through the shared Nelder-Mead (_nelder_mead_lockstep), one batched
-    kernel call per round for the points every live start asks for.  Each
-    start takes the same path, bit for bit, as
-    scipy.optimize.minimize(method="Nelder-Mead") with xatol = fatol = 1e-10,
-    maxiter 4000 and maxfev 8000, because the simplex arithmetic is scipy's
-    and a batched objective value equals the single-point one.  These
-    tolerances and caps are fixed.  The returned value is re-evaluated
-    through the direct inner-product path, so it is a genuine lower bound on
-    the quantum maximum.  Ties on the grid resolve to the lexicographically
-    smallest phase tuple, and a later start replaces the best only if it is
-    strictly better; identical inputs and seed give identical output.
+    Every preset uses one subset for R1, R2, S1 and S2, so the kernel
+    objective's pair functions are one f = f11 = f12 = f21 = -f22 (checked;
+    ValueError otherwise).  Only the sums alpha_a + beta_b matter, so the
+    gauge beta1 = 0 removes a flat direction and leaves
+    F = f(a1) + f(a1 + b2) + f(a2) - f(a2 + b2).  For fixed b2 the a1 and
+    a2 terms separate: the grid maximum of F is max over b2 of
+    h+(b2) + h-(b2), h+-(b2) = max_a f(a) +- f(a + b2), two circular
+    max-plus correlations of one vector in O(N^2) (_grid_start).  The grid
+    is one full period at spacing 1/16, N = 16 d; a fixed N grows coarse
+    with d and misses basins (N = 256 gives t2 at d = 29 2.3581, not
+    2.3644).  The best grid point starts one Nelder-Mead in (a1, a2, b2) on
+    the kernel objective at (a1, a2, 0, b2), which follows
+    scipy.optimize.minimize(method="Nelder-Mead") bit for bit with
+    xatol = fatol = 1e-10, maxiter 4000 and maxfev 8000.  Nothing is random.
+    The value is re-evaluated through the direct inner-product path at the
+    reduced phases, so it is a genuine lower bound on the quantum maximum.
     """
     if isinstance(preset, str):
         preset = BinningPreset(preset, d)
     if preset.d != d:
         raise ValueError(f"preset has d={preset.d}, expected {d}")
-    if grid_points < 2:
-        raise ValueError(f"grid_points must be at least 2, got {grid_points}")
-    if restarts < 0:
-        raise ValueError(f"restarts must be nonnegative, got {restarts}")
-    if not 0 < window <= d:
-        raise ValueError(f"window must lie in (0, d], got {window}")
     coeffs = build_coefficients(preset.to_binning_spec())
     objective = _KernelObjective(coeffs)
-
-    # Grid stage: every t_ab is a sum of two grid offsets, so four
-    # grid x grid tables cover all grid_points^4 phase tuples.
-    g = window * np.arange(grid_points) / grid_points
-    sums = g[:, None] + g[None, :]
-    table = _chsh_table(*(objective.pair_value(a, b, sums) for a in (0, 1) for b in (0, 1)))
-    flat_best = int(np.argmax(table))  # first occurrence = lexicographic tie-break
-    i1, i2, j1, j2 = np.unravel_index(flat_best, table.shape)
-    best_x = np.array([g[i1], g[i2], g[j1], g[j2]])
-    best_val = float(table[i1, i2, j1, j2])
-
-    rng = np.random.default_rng(seed)
-    starts = np.vstack([best_x, rng.uniform(0.0, window, size=(restarts, 4))])
-    sim, fsim = _nelder_mead_lockstep(
-        lambda x: -objective(x), starts, maxiter=_NM_MAXITER, maxfev=_NM_MAXFEV
-    )
-    for x, fun in zip(sim[:, 0], fsim.min(axis=1)):
-        val = float(-fun)
-        if val > best_val:
-            best_x, best_val = x, val
-
-    phases = PhaseSettings(*best_x).reduced(d)
+    c = objective._c
+    if not (np.array_equal(c[0, 1], c[0, 0]) and np.array_equal(c[1, 0], c[0, 0])
+            and np.array_equal(c[1, 1], -c[0, 0])):
+        raise ValueError("the phase search needs one subset for R1, R2, S1 and S2")
+    start, _ = _grid_start(objective)
+    sim, _ = _nelder_mead_lockstep(lambda x: -objective(np.insert(x, 2, 0.0, axis=-1)),
+                                   [start], maxiter=_NM_MAXITER, maxfev=_NM_MAXFEV)
+    a1, a2, b2 = sim[0, 0]
+    phases = PhaseSettings(a1, a2, 0.0, b2).reduced(d)
     return phases, bell_expectation(d, coeffs, phases, method="direct")

@@ -77,9 +77,7 @@ def test_criterion_2_t1_curve():
     """Sharp binning reaches 2*sqrt(2) for even d; odd-d deficit shrinks."""
     deficits = {}
     for d in range(2, 17):
-        _, value = optimize_phases(
-            d, BinningPreset("t1", d), window=2.0, grid_points=13, restarts=3, seed=0
-        )
+        _, value = optimize_phases(d, BinningPreset("t1", d))
         deficits[d] = SQRT8 - value
     even_ok = all(abs(deficits[d]) <= 1e-6 for d in range(2, 17, 2))
     odd_ok = all(deficits[d] > 0 for d in range(3, 16, 2))
@@ -97,18 +95,14 @@ def test_criterion_3_t2_t3_curves():
 
     Target values: 2.31 +/- 0.02 for the period-4 block binning at d=32,
     and a crossing below the classical bound 2 by d* <= 16 for the
-    half-split binning.  The search is a genuine global optimization
-    (grid seeding plus simplex refinement with restarts); the assertions
-    record the targets, not the search's reach.
+    half-split binning.  The search is a global one over one full period
+    (a gauge-fixed grid of 16 d points per phase, then a simplex
+    refinement); the assertions record the targets, not the search's reach.
     """
-    _, t2_value = optimize_phases(
-        32, BinningPreset("t2", 32), window=2.0, grid_points=13, restarts=6, seed=1
-    )
+    _, t2_value = optimize_phases(32, BinningPreset("t2", 32))
     t3_values = {}
     for d in range(4, 17, 2):
-        _, value = optimize_phases(
-            d, BinningPreset("t3", d), window=2.0, grid_points=13, restarts=6, seed=2
-        )
+        _, value = optimize_phases(d, BinningPreset("t3", d))
         t3_values[d] = value
     d_star = next((d for d in sorted(t3_values) if t3_values[d] < 2.0), None)
     t2_ok = abs(t2_value - 2.31) <= 0.02

@@ -85,8 +85,7 @@ class TestTightness:
 class TestScanQudit:
     def test_even_rows_reach_quantum_bound(self, capsys):
         code, out, _ = run(capsys, "scan-qudit", "--binning", "t1",
-                           "--dmin", "2", "--dmax", "4", "--grid-points", "9",
-                           "--restarts", "1")
+                           "--dmin", "2", "--dmax", "4")
         assert code == 0
         lines = out.strip().split("\n")
         assert lines[0] == "d,binning,value,alpha1,alpha2,beta1,beta2"
@@ -105,16 +104,13 @@ class TestScanQudit:
         err = run_usage_error(capsys, "scan-qudit", "--binning", "t2", "--dmax", "3")
         assert "d=2" in err
 
-    @pytest.mark.parametrize("flags", [
-        ("--restarts", "-1"),
-        ("--grid-points", "1"),
-        ("--window", "0"),
-        ("--window", "nan"),
-        ("--window", "5", "--dmin", "2"),
-    ])
-    def test_invalid_search_setting_is_usage_error(self, capsys, flags):
-        err = run_usage_error(capsys, "scan-qudit", "--binning", "t1", "--dmax", "3", *flags)
-        assert "at d=2:" in err
+    def test_retired_search_flags_are_unrecognized(self, capsys):
+        # The phase search has no settings: the flags it once had are
+        # unknown arguments, whatever their value.
+        for flag, value in (("--window", "2"), ("--grid-points", "17"), ("--restarts", "5")):
+            err = run_usage_error(capsys, "scan-qudit", "--binning", "t1", "--dmax", "3",
+                                  flag, value)
+            assert err.splitlines()[-1].endswith(f"unrecognized arguments: {flag} {value}")
 
 
 class TestScanCv:
@@ -249,8 +245,7 @@ class TestCertify:
 
 class TestDeterminismAndConfig:
     def test_byte_identical_reruns(self, capsys):
-        args = ("scan-qudit", "--binning", "t1", "--dmin", "2", "--dmax", "3",
-                "--grid-points", "9", "--restarts", "1", "--seed", "3")
+        args = ("scan-qudit", "--binning", "t1", "--dmin", "2", "--dmax", "3", "--seed", "3")
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert first == second
@@ -270,7 +265,7 @@ class TestDeterminismAndConfig:
 
     def test_config_supplies_defaults_and_flags_win(self, capsys, tmp_path):
         config = tmp_path / "defaults.cfg"
-        config.write_text("# comment\nbinning=t1\ndmax=3\ngrid_points=9\nrestarts=1\n")
+        config.write_text("# comment\nbinning=t1\ndmax=3\n")
         code, out, _ = run(capsys, "scan-qudit", "--config", str(config))
         assert code == 0
         assert out.count("\n") == 3  # header + d=2 + d=3
@@ -283,7 +278,7 @@ class TestDeterminismAndConfig:
         # One file may hold defaults for several subcommands: trials belongs
         # to certify and smax to threshold, so scan-qudit skips them.
         config = tmp_path / "shared.cfg"
-        config.write_text("binning=t1\ndmax=2\ngrid_points=9\ntrials=5\nsmax=3\n")
+        config.write_text("binning=t1\ndmax=2\ntrials=5\nsmax=3\n")
         code, out, _ = run(capsys, "scan-qudit", "--config", str(config))
         assert code == 0
         assert out.startswith("d,binning,value,") and out.count("\n") == 2
@@ -356,11 +351,10 @@ class TestDeterminismAndConfig:
     def test_last_config_flag_wins(self, capsys, tmp_path):
         # --config is an ordinary argparse option, so its last value wins.
         first = tmp_path / "first.cfg"
-        first.write_text("binning=t1\ndmax=3\ngrid_points=9\nrestarts=1\n")
+        first.write_text("binning=t1\ndmax=3\n")
         second = tmp_path / "second.cfg"
-        second.write_text("binning=t3\ndmax=2\ngrid_points=9\nrestarts=1\n")
-        _, expected, _ = run(capsys, "scan-qudit", "--binning", "t3", "--dmax", "2",
-                             "--grid-points", "9", "--restarts", "1")
+        second.write_text("binning=t3\ndmax=2\n")
+        _, expected, _ = run(capsys, "scan-qudit", "--binning", "t3", "--dmax", "2")
         code, out, _ = run(capsys, "scan-qudit", "--config", str(first),
                            "--config", str(second))
         assert code == 0

@@ -13,11 +13,12 @@ import pytest
 import binned_bell
 from binned_bell import cli, qudit
 from binned_bell.cv import _bell_value, _search_displacements
-from binned_bell.lr_polytope import CoefficientTensor, build_coefficients
+from binned_bell.lr_polytope import BinningSpec, CoefficientTensor, _chsh_table, build_coefficients
 from binned_bell.qudit import (
     SQRT8,
     BinningPreset,
     _KernelObjective,
+    _grid_start,
     _nelder_mead_lockstep,
     _probability_matrix,
     MeasurementBasis,
@@ -33,10 +34,46 @@ from binned_bell.qudit import (
 
 OPTIMAL_PHASES = PhaseSettings(0.0, 0.5, -0.25, 0.25)
 
-# Frozen best-found values from the seeded default search (window 2,
-# 13-point grid, 3 restarts, seed 0); the odd-d deficit from 2*sqrt(2)
-# shrinks as d grows.
+# Frozen best-found t1 values; the odd-d deficit from 2*sqrt(2) shrinks as
+# d grows.
 FROZEN_OPTIMA = {2: 2.828427124746, 3: 2.517939955997, 5: 2.634761860822}
+
+# Values of the search that the gauge-fixed grid replaced (a 17-point grid
+# over [0, 2)^4, 5 random restarts and default settings otherwise): for each
+# family, the better of seeds 0 and 3 at d = 2..32 (t2 from d = 3).  The
+# present search must reach each of them.
+PARENT_FLOORS = {
+    "t1": [
+        2.8284271247461885, 2.517939955996529, 2.8284271247461903, 2.634761860821528,
+        2.8284271247461916, 2.6880220553244554, 2.828427124746189, 2.718405225570026,
+        2.82842712474619, 2.7380128793348453, 2.828427124746192, 2.7517032760551183,
+        2.828427124746189, 2.7617997082955927, 2.82842712474619, 2.769551398031113,
+        2.8284271247461916, 2.7756893061529824, 2.8284271247461885, 2.7806694221052104,
+        2.828427124746187, 2.7847908564425357, 2.8284271247461916, 2.7882579221845027,
+        2.8284271247461907, 2.7912149128422135, 2.828427124746188, 2.793766623452122,
+        2.8284271247461876, 2.7959909944495793, 2.8284271247461876,
+    ],
+    "t2": [
+        2.5179399559965296, 2.377641290737884, 2.3023289861005587, 2.2525416240166365,
+        2.4319296261413865, 2.3776412907378828, 2.335346874797254, 2.301736871616704,
+        2.4113825364490626, 2.3776412907378845, 2.348234704666093, 2.323143987980729,
+        2.402125680502396, 2.377641290737884, 2.3551036487137047, 2.335134564891958,
+        2.396855846633228, 2.377641290737883, 2.359371768633415, 2.342801785675235,
+        2.393453054318205, 2.377641290737886, 2.3622809495748407, 2.3481264709080962,
+        2.391074278418009, 2.377641290737881, 2.364391015869899, 2.352039741565233,
+        2.3893176913486105, 2.377641290737882,
+    ],
+    "t3": [
+        2.8284271247461885, 2.5179399559965305, 2.377641290737884, 2.2744018719792938,
+        2.2551209436310193, 2.194516344381822, 2.1962771611316807, 2.1534737615998916,
+        2.1610549304110216, 2.128002870993692, 2.137353698037141, 2.1104556967258965,
+        2.0908683707832076, 2.0975375244614898, 2.1071482976976057, 2.0665558295286606,
+        2.0632581345340384, 2.064953086218047, 2.088500719785221, 2.0557473951204353,
+        2.0815778137730296, 2.0550219415688864, 2.056655225984656, 2.047736830514725,
+        2.045345406705912, 2.0512428923609636, 2.0664023915159238, 2.03939719727264,
+        2.046890869806784, 2.045604236563869, 2.044411823787434,
+    ],
+}
 
 
 def t1_coeffs(d: int) -> CoefficientTensor:
@@ -65,8 +102,6 @@ def cosine_form(phases: PhaseSettings) -> float:
 
 
 def random_preset_free_spec(rng: np.random.Generator, d: int):
-    from binned_bell.lr_polytope import BinningSpec
-
     def subset() -> tuple[int, ...]:
         size = int(rng.integers(1, d))
         return tuple(sorted(rng.choice(d, size=size, replace=False).tolist()))
@@ -265,29 +300,28 @@ class TestPresets:
 class TestOptimization:
     def test_frozen_best_found_values(self):
         for d, frozen in FROZEN_OPTIMA.items():
-            _, value = optimize_phases(
-                d, BinningPreset("t1", d), window=2.0, grid_points=13, restarts=3, seed=0
-            )
+            _, value = optimize_phases(d, BinningPreset("t1", d))
             assert abs(value - frozen) < 1e-9
 
+    @pytest.mark.parametrize("kind", sorted(PARENT_FLOORS))
+    def test_no_value_below_the_replaced_search(self, kind):
+        floors = PARENT_FLOORS[kind]
+        for d, floor in zip(range(33 - len(floors), 33), floors):
+            _, value = optimize_phases(d, kind)
+            assert value >= floor - 1e-12, (kind, d, value, floor)
+
     def test_even_d_reaches_quantum_bound(self):
-        for d in (2, 4, 6):
-            _, value = optimize_phases(
-                d, BinningPreset("t1", d), window=2.0, grid_points=13, restarts=2, seed=0
-            )
-            assert abs(value - SQRT8) < 1e-6
+        for d in range(2, 33, 2):
+            _, value = optimize_phases(d, BinningPreset("t1", d))
+            assert abs(value - SQRT8) < 1e-9, (d, value)
 
     def test_returned_phases_reproduce_value(self):
-        phases, value = optimize_phases(
-            5, BinningPreset("t3", 5), window=2.0, grid_points=9, restarts=2, seed=1
-        )
+        phases, value = optimize_phases(5, BinningPreset("t3", 5))
         direct = bell_expectation(5, build_coefficients(BinningPreset("t3", 5).to_binning_spec()), phases)
         assert abs(direct - value) < 1e-10
 
-    def test_deterministic_for_fixed_seed(self):
-        a = optimize_phases(3, BinningPreset("t1", 3), grid_points=9, restarts=2, seed=4)
-        b = optimize_phases(3, BinningPreset("t1", 3), grid_points=9, restarts=2, seed=4)
-        assert a == b
+    def test_repeated_calls_agree(self):
+        assert optimize_phases(3, BinningPreset("t1", 3)) == optimize_phases(3, "t1")
 
     def test_phase_reduction_preserves_value(self):
         d = 6
@@ -296,6 +330,37 @@ class TestOptimization:
             reduced = phases.reduced(d)
             assert abs(bell_expectation(d, coeffs, phases) - bell_expectation(d, coeffs, reduced)) < 1e-10
             assert all(0.0 <= v < d for v in reduced.as_array())
+
+    @pytest.mark.parametrize("kind,d", [("t1", 3), ("t3", 3), ("t2", 4), ("t3", 4)])
+    def test_grid_start_is_the_gauge_fixed_grid_maximum(self, kind, d):
+        # The max-plus correlations give the maximum of the whole gauge-fixed
+        # N^3 table (b1 = 0; a1, a2, b2 on t_j = j d / N, N = 16 d).
+        objective = _KernelObjective(build_coefficients(BinningPreset(kind, d).to_binning_spec()))
+        n = 16 * d
+        t = d * np.arange(n) / n
+        at_a = objective.pair_value(0, 0, t)[:, None]  # f(a + b1), b1 = 0
+        shifted = objective.pair_value(0, 0, t[:, None] + t)  # f(a + b2)
+        table = _chsh_table(at_a, shifted, at_a, -shifted)
+        start, value = _grid_start(objective)
+        assert value == pytest.approx(table.max(), abs=1e-12)
+        a1, a2, b2 = start
+        assert objective([a1, a2, 0.0, b2]) == pytest.approx(value, abs=1e-12)
+        assert all(x in t for x in start)
+
+    def test_mixed_subsets_refused(self, monkeypatch):
+        # The one-function grid needs R1 = R2 = S1 = S2.
+        monkeypatch.setattr(BinningPreset, "to_binning_spec",
+                            lambda self: BinningSpec(4, (0, 2), (0, 2), (0, 2), (0, 1)))
+        with pytest.raises(ValueError, match="one subset"):
+            optimize_phases(4, "t1")
+
+    def test_cli_output_ignores_seed(self, capsys):
+        outputs = []
+        for seed in ("0", "7"):
+            assert cli.main(["scan-qudit", "--binning", "t3", "--dmin", "2", "--dmax", "9",
+                             "--seed", seed, "--format", "csv"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
 
 def per_pair_objective(objective: _KernelObjective, x: np.ndarray) -> float:
@@ -344,12 +409,11 @@ class TestKernelObjective:
         assert np.array_equal(objective(points[:42]), reference[:42])
         assert np.array_equal(objective(points.reshape(20, 20, 4)), reference.reshape(20, 20))
 
-    @pytest.mark.parametrize("kind,d", [("t2", 8), ("t3", 5)])
-    @pytest.mark.parametrize("seed", [0, 7])
-    def test_search_path_unchanged_by_fused_evaluation(self, monkeypatch, kind, d, seed):
-        fused = optimize_phases(d, BinningPreset(kind, d), seed=seed)
+    @pytest.mark.parametrize("kind,d", [("t2", 8), ("t3", 5), ("t1", 7), ("t3", 14)])
+    def test_search_path_unchanged_by_fused_evaluation(self, monkeypatch, kind, d):
+        fused = optimize_phases(d, BinningPreset(kind, d))
         monkeypatch.setattr(_KernelObjective, "__call__", per_pair_batch)
-        assert optimize_phases(d, BinningPreset(kind, d), seed=seed) == fused
+        assert optimize_phases(d, BinningPreset(kind, d)) == fused
 
 
 def scipy_nelder_mead(func, x0, *, maxiter=4000, maxfev=8000):
@@ -500,29 +564,29 @@ class TestLockstepNelderMead:
         assert sim.shape == (len(starts), n + 1, n) and fsim.shape == (len(starts), n + 1)
 
     def test_caps_cut_starts_mid_iteration_like_scipy(self, monkeypatch):
-        objective = _KernelObjective(build_coefficients(BinningPreset("t3", 5).to_binning_spec()))
         calls = []
 
         def recording(func, starts, **caps):
             sim, fsim = lockstep(func, starts, **caps)
-            calls.append((starts, caps, sim, fsim))
+            calls.append((func, starts, caps, sim, fsim))
             return sim, fsim
 
         lockstep = qudit._nelder_mead_lockstep
         monkeypatch.setattr(qudit, "_nelder_mead_lockstep", recording)
         cut = set()
-        # maxfev below the 5 initial evaluations, at every count over the
-        # first iterations (expansions) and at 137..140, where a start of
-        # this search is inside a shrink; maxiter 1 runs no iteration.
-        fevs = [*range(3, 30), *range(137, 141)]
+        # maxfev below the 4 initial evaluations and over the first
+        # iterations, at 47, 55, 64 and 78, where this search's start drops
+        # an expansion, and at 173..175, where it is inside a shrink (all
+        # found by recording); maxiter 1 runs no iteration.
+        fevs = [*range(3, 8), 47, 55, 64, 78, *range(173, 176)]
         for maxiter, maxfev in [(4000, f) for f in fevs] + [(1, 8000), (6, 8000)]:
             monkeypatch.setattr(qudit, "_NM_MAXITER", maxiter)
             monkeypatch.setattr(qudit, "_NM_MAXFEV", maxfev)
-            optimize_phases(5, "t3", seed=3)
-            starts, caps, sim, fsim = calls[-1]
+            optimize_phases(5, "t3")
+            func, starts, caps, sim, fsim = calls[-1]
             assert (caps["maxiter"], caps["maxfev"]) == (maxiter, maxfev)
             cut |= assert_lockstep_matches_scipy(
-                lambda x: -objective(x), starts, sim, fsim, maxiter=maxiter, maxfev=maxfev
+                func, starts, sim, fsim, maxiter=maxiter, maxfev=maxfev
             )
         assert cut == {"expansion", "shrink"}
 
@@ -543,14 +607,15 @@ class TestLockstepNelderMead:
 
 
 # `scan-qudit --seed 3 --format csv` rows, one dimension per run, recorded
-# from the scipy-driven search that the lockstep search replaced.
+# from the gauge-fixed grid search (beta1 is 0 by the gauge).  The rows of
+# the search it replaced are floors in PARENT_FLOORS.
 GOLDEN_SCAN_ROWS = {
-    ("t1", 5): "5,t1,2.634761860821528,0.63031149405095832,1.1040393386619933,0.13282458330446184,0.6065524288828581",
-    ("t1", 16): "16,t1,2.8284271247461898,0.85683287282713461,0.35683286676317993,1.3931671383652469,0.89316713577579676",
-    ("t2", 5): "5,t2,2.3023289861005587,0.18488970399540317,0.56847932379360522,4.6233154773175391,0.0069051097704184482",
-    ("t2", 16): "16,t2,2.3776412907378841,2.6057282124378416,0.20572820886473439,0.19427178900048847,0.59427178548692372",
-    ("t3", 5): "5,t3,2.0367941960810416,0.17055120124176049,2.4070966397320017,1.5213030279636057,3.7578484585764329",
-    ("t3", 16): "16,t3,2.0708002439692734,2.422743571882934,15.989506491120858,6.7169816245186951,1.1502187404992918",
+    ("t1", 5): "5,t1,2.6347618608215249,1.2368639202030982,0.7631361002804451,0,4.5262721390823515",
+    ("t1", 16): "16,t1,2.8284271247461894,9.750000003509566,0.250000005796846,0,0.50000000275668621",
+    ("t2", 5): "5,t2,2.3023289861005569,0.19179479047131381,4.8082051896011428,0,4.6164103825751797",
+    ("t2", 16): "16,t2,2.3776412907378814,2.8000000231714348,0.400000014731271,0,0.39999999614726034",
+    ("t3", 5): "5,t3,2.3023289861005578,4.1917948038364496,3.808205190191301,0,4.6164103788833879",
+    ("t3", 16): "16,t3,2.1071482976976075,8.8391582914871272,0.51747482563150693,0,0.32168343320177184",
 }
 
 
