@@ -104,13 +104,19 @@ class TestScanQudit:
         err = run_usage_error(capsys, "scan-qudit", "--binning", "t2", "--dmax", "3")
         assert "d=2" in err
 
-    def test_retired_search_flags_are_unrecognized(self, capsys):
+    @pytest.mark.parametrize("flags", [
+        ("--restarts", "-1"),
+        ("--grid-points", "1"),
+        ("--window", "0"),
+        ("--window", "nan"),
+        ("--window", "5", "--dmin", "2"),
+    ])
+    def test_invalid_search_setting_is_usage_error(self, capsys, flags):
         # The phase search has no settings: the flags it once had are
         # unknown arguments, whatever their value.
-        for flag, value in (("--window", "2"), ("--grid-points", "17"), ("--restarts", "5")):
-            err = run_usage_error(capsys, "scan-qudit", "--binning", "t1", "--dmax", "3",
-                                  flag, value)
-            assert err.splitlines()[-1].endswith(f"unrecognized arguments: {flag} {value}")
+        err = run_usage_error(capsys, "scan-qudit", "--binning", "t1", "--dmax", "3", *flags)
+        flag, value = flags[:2]
+        assert err.splitlines()[-1].endswith(f"unrecognized arguments: {flag} {value}")
 
 
 class TestScanCv:
