@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 property or I/O failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -176,7 +177,9 @@ def _delta_tokens(text: str) -> tuple[float, ...]:
     return tuple(deltas)
 
 
+@functools.cache
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parsers, cached: every caller gets the same objects, so none may keep changes."""
     common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--out", default=None, help="output path (default: stdout)")
     common.add_argument("--format", choices=("csv", "json"), default=None,
@@ -508,23 +511,28 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand and return its exit code; all calls share one parser."""
     parser, subparsers = build_parser()
     args = parser.parse_args(argv)
     # Every usage error after parsing is reported by the subcommand's parser,
     # as argparse reports a flag's conversion error.
     subparser = subparsers[args.command]
     if args.config is not None:
-        # The file's values become the subcommand's defaults, and parsing
-        # again lets explicit flags win.  Keys of sibling subcommands are
-        # valid in the file and ignored here.
+        # The file's values become the subcommand's defaults for one more
+        # parse, which lets explicit flags win; then the shared parser gets
+        # its own defaults back.  Keys of sibling subcommands are ignored.
         known = _config_actions(subparser)
         actions = {k: a for p in subparsers.values() for k, a in _config_actions(p).items()}
         try:
             config = load_config(args.config, actions)
         except (OSError, ValueError) as exc:
             subparser.error(str(exc))
-        subparser.set_defaults(**{k: v for k, v in config.items() if k in known})
-        args = parser.parse_args(argv)
+        saved = {k: known[k].default for k in config if k in known}
+        try:
+            subparser.set_defaults(**{k: config[k] for k in saved})
+            args = parser.parse_args(argv)
+        finally:
+            subparser.set_defaults(**saved)
     try:
         return _COMMANDS[args.command](args, subparser)
     except lr.EnumerationLimitError as exc:

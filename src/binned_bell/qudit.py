@@ -114,15 +114,20 @@ def _probability_matrix(d: int, alpha: float, beta: float) -> np.ndarray:
 def probability_kernel(d: int, x) -> np.ndarray:
     """Closed-form joint probability sin^2(pi x) / (d^3 sin^2(pi x / d)).
 
-    x = k + l + alpha_a + beta_b; the kernel has period d and tends to 1/d
-    as x approaches a multiple of d.
+    x = k + l + alpha_a + beta_b; the kernel has period d and is 1/d within
+    1e-9 of a multiple of d.  One np.sin gives both sines; every value is
+    elementwise, so no value depends on the shape of the array around it.
     """
     x = np.mod(np.asarray(x, dtype=float), d)
     near = np.minimum(x, d - x) < 1e-9
-    den = d**3 * np.sin(np.pi * x / d) ** 2
-    num = np.sin(np.pi * x) ** 2
-    out = np.divide(num, den, out=np.full_like(num, 1.0 / d), where=~near)
-    return out
+    sines = np.empty((2,) + x.shape)
+    num, den = sines[0, ...], sines[1, ...]
+    np.divide(np.multiply(np.pi, x, out=num), d, out=den)
+    np.square(np.sin(sines, out=sines), out=sines)
+    den *= d**3
+    np.copyto(num, 1.0 / d, where=near)
+    np.copyto(den, 1.0, where=near)
+    return np.divide(num, den, out=num)
 
 
 def bell_expectation(
@@ -272,13 +277,13 @@ class _KernelObjective:
     Since the kernel depends on k + l only, the Bell sum collapses to
     sum_ab f_ab(t_ab) with t_ab = alpha_a + beta_b and
     f_ab(t) = sum_s c_ab(s) K(s + t), where c_ab(s) sums eps_ab over
-    k + l = s (mod d).  A call takes phase points of shape (..., 4) and
-    makes one kernel call on all their t_ab against s = 0..d-1.  The kernel
-    is elementwise, and each f_ab stays one BLAS dot product of two
-    contiguous rows (a stacked (1, d) @ (d, 1) matmul), summed in the order
-    f11 + f12 + f21 + f22.  So every value is bit-identical to the sum of
-    the four pair_value calls at that point, whatever the batch around it;
-    a fused row sum rounds differently and would move the Nelder-Mead path.
+    k + l = s (mod d).  `sums` takes the t_ab of points (..., 4), built by
+    __call__ or the search, and makes one kernel call against s = 0..d-1.
+    The kernel is elementwise, and each f_ab stays one BLAS dot product of
+    two contiguous rows (a stacked (1, d) @ (d, 1) matmul), summed in the
+    order f11 + f12 + f21 + f22.  So every value is bit-identical to the four
+    pair_value calls at that point, whatever the batch around it; a fused
+    row sum rounds differently and would move the Nelder-Mead path.
     """
 
     def __init__(self, coeffs: CoefficientTensor):
@@ -301,14 +306,17 @@ class _KernelObjective:
         out = self._c[a, b] @ kern
         return out.reshape(t.shape)
 
+    def sums(self, t: np.ndarray) -> np.ndarray:
+        """Bell sum at each point t[..., :] = (a1+b1, a1+b2, a2+b1, a2+b2)."""
+        kern = probability_kernel(self.d, t[..., None] + self._s)
+        f = np.matmul(kern[..., None, :], self._c.reshape(4, self.d, 1))[..., 0, 0]
+        return f[..., 0] + f[..., 1] + f[..., 2] + f[..., 3]
+
     def __call__(self, x) -> np.ndarray:
         """Bell sum at each point x[..., :] = (alpha1, alpha2, beta1, beta2)."""
         x = np.asarray(x, dtype=float)
         # t[..., 2a + b] = alpha_a + beta_b: a1+b1, a1+b2, a2+b1, a2+b2.
-        t = (x[..., :2, None] + x[..., None, 2:]).reshape(x.shape[:-1] + (4,))
-        kern = probability_kernel(self.d, t[..., None] + self._s)
-        f = np.matmul(kern[..., None, :], self._c.reshape(4, self.d, 1))[..., 0, 0]
-        return f[..., 0] + f[..., 1] + f[..., 2] + f[..., 3]
+        return self.sums((x[..., :2, None] + x[..., None, 2:]).reshape(x.shape[:-1] + (4,)))
 
 
 # Nelder-Mead caps of the phase search.
@@ -350,8 +358,9 @@ def optimize_phases(d: int, preset: BinningPreset | str) -> tuple[PhaseSettings,
     is one full period at spacing 1/16, N = 16 d; a fixed N grows coarse
     with d and misses basins (N = 256 gives t2 at d = 29 2.3581, not
     2.3644).  The best grid point starts one Nelder-Mead in (a1, a2, b2) on
-    the kernel objective at (a1, a2, 0, b2), which follows
-    scipy.optimize.minimize(method="Nelder-Mead") bit for bit with
+    the kernel objective's sums at t = (a1, a1 + b2, a2, a2 + b2), indexed
+    with no zero column (one probability_kernel call per round), which
+    follows scipy.optimize.minimize(method="Nelder-Mead") bit for bit with
     xatol = fatol = 1e-10, maxiter 4000 and maxfev 8000.  Nothing is random.
     The value is re-evaluated through the direct inner-product path at the
     reduced phases, so it is a genuine lower bound on the quantum maximum.
@@ -367,8 +376,13 @@ def optimize_phases(d: int, preset: BinningPreset | str) -> tuple[PhaseSettings,
             and np.array_equal(c[1, 1], -c[0, 0])):
         raise ValueError("the phase search needs one subset for R1, R2, S1 and S2")
     start, _ = _grid_start(objective)
-    sim, _ = _nelder_mead_lockstep(lambda x: -objective(np.insert(x, 2, 0.0, axis=-1)),
-                                   [start], maxiter=_NM_MAXITER, maxfev=_NM_MAXFEV)
+
+    def minus_bell(x: np.ndarray) -> np.ndarray:  # x[..., :] = (a1, a2, b2)
+        t = x[..., [0, 0, 1, 1]]
+        t[..., 1::2] += x[..., 2:]
+        return -objective.sums(t)
+
+    sim, _ = _nelder_mead_lockstep(minus_bell, [start], maxiter=_NM_MAXITER, maxfev=_NM_MAXFEV)
     a1, a2, b2 = sim[0, 0]
     phases = PhaseSettings(a1, a2, 0.0, b2).reduced(d)
     return phases, bell_expectation(d, coeffs, phases, method="direct")

@@ -28,6 +28,14 @@ def run_usage_error(capsys, *argv: str) -> str:
     return capsys.readouterr().err
 
 
+def run_fresh(*args: str) -> subprocess.CompletedProcess:
+    """python ARGS in a new process that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(binned_bell.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
 class TestSerialization:
     def test_float_formatting(self):
         assert cli.format_float(2.0 * math.sqrt(2.0)) == "2.8284271247461903"
@@ -398,6 +406,27 @@ class TestDeterminismAndConfig:
             assert code == 0
             assert out == expected
 
+    def test_shared_parser_keeps_no_state_between_calls(self, capsys, tmp_path):
+        # Every main call in a process shares one parser: a config file's
+        # defaults must not outlive its call, whether it succeeds or ends in
+        # a usage error.
+        config = tmp_path / "scan.cfg"
+        config.write_text("binning=t1\ndmax=3\n")
+        code, _, _ = run(capsys, "scan-qudit", "--config", str(config))
+        assert code == 0
+        fresh = run_fresh("-m", "binned_bell.cli", "scan-qudit")
+        assert fresh.returncode == 2
+        assert fresh.stderr.splitlines()[-1] == (
+            "binned-bell scan-qudit: error: --binning is required (flag or config file)")
+        assert run_usage_error(capsys, "scan-qudit") == fresh.stderr
+        config.write_text("binning=t3\ndmin=5\ndmax=3\n")
+        err = run_usage_error(capsys, "scan-qudit", "--config", str(config))
+        assert err.splitlines()[-1].endswith("need 2 <= dmin <= dmax, got dmin=5 dmax=3")
+        argv = ("scan-qudit", "--binning", "t1", "--dmax", "3")
+        fresh = run_fresh("-m", "binned_bell.cli", *argv)
+        assert fresh.returncode == 0 and fresh.stdout.count("\n") == 3
+        assert run(capsys, *argv) == (0, fresh.stdout, "")
+
     def test_malformed_config_line(self, capsys, tmp_path):
         config = tmp_path / "bad.cfg"
         config.write_text("dmax\n")
@@ -416,9 +445,6 @@ class TestImportCost:
     def test_package_import_leaves_scipy_unloaded(self):
         # scipy is a test dependency only: neither the import nor a real and
         # a complex displaced-parity search with its reference check loads it.
-        src = os.path.dirname(os.path.dirname(os.path.abspath(binned_bell.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         code = (
             "import sys, binned_bell, binned_bell.cli\n"
             "from binned_bell import bw_displaced_parity_max, required_fock_cutoff\n"
@@ -427,7 +453,6 @@ class TestImportCost:
             "bw_displaced_parity_max(cutoff, 0.8, complex_displacements=True, restarts=0)\n"
             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        ).stdout
-        assert out.strip() == "[]"
+        fresh = run_fresh("-c", code)
+        assert fresh.returncode == 0, fresh.stderr
+        assert fresh.stdout.strip() == "[]"

@@ -167,6 +167,31 @@ class TestProbabilities:
             assert abs(direct - kernel) < 1e-10
 
 
+def textbook_kernel(d: int, x) -> np.ndarray:
+    """Reference kernel: a full array of 1/d, divided into where x is off the pole."""
+    x = np.mod(np.asarray(x, dtype=float), d)
+    near = np.minimum(x, d - x) < 1e-9
+    den = d**3 * np.sin(np.pi * x / d) ** 2
+    num = np.sin(np.pi * x) ** 2
+    return np.divide(num, den, out=np.full_like(num, 1.0 / d), where=~near)
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 32])
+def test_probability_kernel_matches_textbook_formula(d):
+    # The offset sums of the objective's test points (pole branch included)
+    # and exact multiples of d, against s = 0..d-1 as the objective asks.
+    rng = np.random.default_rng(d)
+    x = objective_points(d, rng)
+    t = np.vstack([(x[:, :2, None] + x[:, None, 2:]).reshape(-1, 4),
+                   d * rng.integers(-2, 3, size=(20, 4)).astype(float), [[-0.0] * 4]])
+    args = t[:, :, None] + np.arange(d)
+    expected = textbook_kernel(d, args)
+    assert np.array_equal(probability_kernel(d, args), expected)
+    assert np.array_equal(probability_kernel(d, args[:7]), expected[:7])
+    for row, want in zip(args, expected):
+        assert np.array_equal(probability_kernel(d, row[None]), want[None])
+
+
 class TestChshReduction:
     def test_optimal_value_is_two_sqrt_two(self):
         value = bell_expectation(2, t1_coeffs(2), OPTIMAL_PHASES)
@@ -368,15 +393,22 @@ class TestOptimization:
         assert outputs[0] == outputs[1]
 
 
-def per_pair_objective(objective: _KernelObjective, x: np.ndarray) -> float:
-    """The Bell sum as four separate pair_value calls (the reference route)."""
-    a1, a2, b1, b2 = x
+def per_pair_sums(objective: _KernelObjective, t) -> float:
+    """The Bell sum at offset sums t = (a1+b1, a1+b2, a2+b1, a2+b2) as four
+    separate pair_value calls (the reference route)."""
+    t11, t12, t21, t22 = t
     return float(
-        objective.pair_value(0, 0, a1 + b1)
-        + objective.pair_value(0, 1, a1 + b2)
-        + objective.pair_value(1, 0, a2 + b1)
-        + objective.pair_value(1, 1, a2 + b2)
+        objective.pair_value(0, 0, t11)
+        + objective.pair_value(0, 1, t12)
+        + objective.pair_value(1, 0, t21)
+        + objective.pair_value(1, 1, t22)
     )
+
+
+def per_pair_objective(objective: _KernelObjective, x: np.ndarray) -> float:
+    """per_pair_sums at the phases x = (alpha1, alpha2, beta1, beta2)."""
+    a1, a2, b1, b2 = x
+    return per_pair_sums(objective, (a1 + b1, a1 + b2, a2 + b1, a2 + b2))
 
 
 def per_pair_batch(objective: _KernelObjective, x) -> np.ndarray:
@@ -424,10 +456,23 @@ class TestKernelObjective:
         fused = optimize_phases(d, BinningPreset(kind, d))
         assert cli.main(argv) == 0
         fused_row = capsys.readouterr().out
-        monkeypatch.setattr(_KernelObjective, "__call__", per_pair_batch)
+        # The search evaluates through the sums route; the per-pair route
+        # takes its place, point by point.
+        batches = []
+
+        def per_pair_route(objective, t):
+            batches.append(t.shape)
+            values = [per_pair_sums(objective, p) for p in t.reshape(-1, 4)]
+            return np.array(values).reshape(t.shape[:-1])
+
+        monkeypatch.setattr(_KernelObjective, "sums", per_pair_route)
         assert optimize_phases(d, BinningPreset(kind, d)) == fused
+        # The first round evaluates the 4 initial vertices, the next one point.
+        assert batches[:2] == [(4, 4), (1, 4)]
+        batches.clear()
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == fused_row
+        assert batches[:2] == [(4, 4), (1, 4)]
 
 
 def scipy_nelder_mead(func, x0, *, maxiter=4000, maxfev=8000):
