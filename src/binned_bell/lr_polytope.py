@@ -19,10 +19,13 @@ x*y1 + x*y2 + xt*y1 - xt*y2 with x, xt, y1, y2 in {-1, +1}, hence always ±2.
 Tightness of B <= 2 on the LR polytope is certified by the rank of the
 maximizers' extremal 0/1 vectors.  A facet needs rank 4d(d-1); the count of
 maximizing assignments (closed form m_formula) reaching that threshold is
-only a necessary condition.  The rank is found modulo a prime, which stops
-as soon as it reaches the geometric upper bound; a shortfall is proven from
-above by the lifted null space of the reduced basis.  Rank computations
-never touch floating point.
+only a necessary condition.  The rank is first found over GF(2), on rows
+held as Python ints with four bits set, and stops as soon as it reaches the
+geometric upper bound.  A 0/1 matrix's rank mod 2 never exceeds its rank
+over Q (a minor that is odd is a nonzero integer), so reaching the bound is
+exact.  Only when it falls short does the rank modulo the prime 2^31 - 1
+run; its shortfall is proven from above by the lifted null space of the
+reduced basis.  Rank computations never touch floating point.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ DEFAULT_ENUMERATION_LIMIT = 32
 _PRIME = 2**31 - 1
 # Maximizers reduced per batch by the modular rank.
 _CHUNK_ROWS = 32
+# Maximizers turned into bit rows per batch by the GF(2) rank.
+_BIT_ROWS = 4096
 # Maximizers checked per batch against the lifted null space.
 _CHECK_ROWS = 1024
 
@@ -210,6 +215,39 @@ def _extremal_columns(d: int, configs: np.ndarray) -> tuple[np.ndarray, ...]:
     return (k1 * d + l1, dd + k1 * d + l2, 2 * dd + k2 * d + l1, 3 * dd + k2 * d + l2)
 
 
+def _gf2_rank(configs: np.ndarray, d: int, bound: int) -> int:
+    """Rank mod 2 of the configs' extremal vectors, stopping at bound.
+
+    A row is a Python int with its four column bits set.  The basis is kept
+    in reduced row echelon form, keyed by pivot bit: no basis row holds
+    another's pivot, so a fresh row is reduced by XOR with the basis rows of
+    its (at most four) pivot bits, and a new pivot, its highest bit, is
+    cleared from the basis rows that hold it.  Rows are built a chunk at a
+    time and visited in the order of _modular_rank.
+    """
+    unit = [1 << c for c in range(4 * d * d)]
+    basis: dict[int, int] = {}
+    order = np.random.default_rng(0).permutation(configs.shape[0])
+    for start in range(0, order.size, _BIT_ROWS):
+        cols = _extremal_columns(d, configs[order[start:start + _BIT_ROWS]])
+        for c0, c1, c2, c3 in zip(*(c.tolist() for c in cols)):
+            row = unit[c0] | unit[c1] | unit[c2] | unit[c3]
+            for c in (c0, c1, c2, c3):
+                if c in basis:
+                    row ^= basis[c]
+            if not row:
+                continue
+            pivot = row.bit_length() - 1
+            bit = unit[pivot]
+            for key, held in basis.items():
+                if held & bit:
+                    basis[key] = held ^ row
+            basis[pivot] = row
+            if len(basis) == bound:
+                return bound
+    return len(basis)
+
+
 def _clear_column(block: np.ndarray, col: int, row: np.ndarray, support: np.ndarray) -> None:
     """Make block[:, col] zero mod p in place, using a row with row[col] == 1."""
     hit = np.flatnonzero(block[:, col])
@@ -314,12 +352,13 @@ def tightness_certificate(
     The rank of the maximizers' extremal vectors has a geometric upper bound:
     all d^4 deterministic vectors span (2d-1)^2 dimensions, and when some
     assignment is not a maximizer the maximizers lie on a proper face, of
-    rank at most 4d(d-1).  The rank is computed over GF(p), p = 2^31 - 1,
-    stopping at the bound; a rank over GF(p) never exceeds the rank over Q,
-    so reaching the bound proves the exact rank.  A shortfall r is proven
-    from above: the mod-p null space of the maximizers, lifted to integers,
-    gives n - r independent vectors that every maximizer must annihilate
-    exactly, or the call raises ArithmeticError.
+    rank at most 4d(d-1).  The rank is computed over GF(2), stopping at the
+    bound; a rank mod 2 never exceeds the rank over Q, so reaching the bound
+    proves the exact rank.  Only a GF(2) shortfall runs the rank over GF(p),
+    p = 2^31 - 1, which also stops at the bound.  A shortfall r there is
+    proven from above: the mod-p null space of the maximizers, lifted to
+    integers, gives n - r independent vectors that every maximizer must
+    annihilate exactly, or the call raises ArithmeticError.
 
     is_tight_by_count compares the exact count against the facet threshold
     4d(d-1) and is only a necessary condition: specs with empty subsets
@@ -334,15 +373,18 @@ def tightness_certificate(
     m_counted = int(configs.shape[0])
     threshold = facet_threshold(d)
     bound = (2 * d - 1) ** 2 if m_counted == d**4 else threshold
-    rank = _modular_rank(configs, d, bound)
+    rank = _gf2_rank(configs, d, bound)
+    if rank < bound:
+        rank = _modular_rank(configs, d, bound)
     return TightnessReport(
         lr_max=float(top),
         m_counted=m_counted,
         m_formula=m_formula(spec),
         threshold=threshold,
         linear_rank=rank,
-        # Every extremal vector's first block sums to 1, so the affine hull of
-        # the maximizers misses the origin and its dimension is rank - 1.
+        # This is the linear rank, not the affine dimension: every extremal
+        # vector's first block sums to 1, so the affine hull of the maximizers
+        # misses the origin and has dimension rank - 1.
         affine_rank=rank,
         is_tight_by_count=m_counted >= threshold,
     )

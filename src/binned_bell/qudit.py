@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -80,6 +81,19 @@ def fourier_basis(d: int, offset: float) -> np.ndarray:
     j = np.arange(d)
     k = np.arange(d)
     return np.exp(2j * np.pi * np.outer(j, k + offset) / d) / math.sqrt(d)
+
+
+@lru_cache(maxsize=4)
+def _shared_basis(d: int, offset: float) -> np.ndarray:
+    """Read-only fourier_basis(d, offset), kept for the last four offsets.
+
+    A certify trial builds its Bell operator and then its binned observables
+    at the same four offsets; both read their bases from here, so each basis
+    is computed once per trial.
+    """
+    u = fourier_basis(d, offset)
+    u.setflags(write=False)
+    return u
 
 
 @dataclass(frozen=True)
@@ -222,7 +236,7 @@ def build_bell_operator(
         )
 
     def projectors(offset: float) -> np.ndarray:
-        u = fourier_basis(d, offset)
+        u = _shared_basis(d, offset)
         # row (i j), column k: <i| (|k><k|) |j>
         return np.einsum("ik,jk->ijk", u, u.conj()).reshape(d * d, d)
 
@@ -242,7 +256,7 @@ def build_bell_operator(
 
 def binned_observable(d: int, offset: float, subset: Iterable[int]) -> np.ndarray:
     """±1 observable sum_k zeta(k) |k><k| in the offset Fourier basis."""
-    u = fourier_basis(d, offset)
+    u = _shared_basis(d, offset)
     z = zeta(subset, d).astype(float)
     return (u * z) @ u.conj().T
 

@@ -1,8 +1,9 @@
 """Exact integer rank by fraction-free elimination: the tests' reference route.
 
-tightness_certificate proves its ranks modularly (a rank mod p from below,
-exact annihilators from the lifted null space from above).  This module
-recomputes ranks by an independent method for the tests to compare against.
+tightness_certificate proves its ranks modularly (a rank mod 2 or mod p
+from below, exact annihilators from the lifted null space from above).  This
+module recomputes ranks by an independent method for the tests to compare
+against.
 """
 
 from __future__ import annotations

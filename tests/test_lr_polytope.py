@@ -46,6 +46,25 @@ def random_spec(rng: np.random.Generator, d: int, min_size: int = 1) -> BinningS
     return BinningSpec(d=d, r1=subset(), r2=subset(), s1=subset(), s2=subset())
 
 
+def maximizers(spec: BinningSpec) -> np.ndarray:
+    values = _all_values(build_coefficients(spec))
+    return np.argwhere(values == values.max())
+
+
+@pytest.fixture
+def modular_calls(monkeypatch) -> list[int]:
+    """The bound of every _modular_rank call the test makes."""
+    calls = []
+    modular = lr_polytope._modular_rank
+
+    def spy(configs, d, bound):
+        calls.append(bound)
+        return modular(configs, d, bound)
+
+    monkeypatch.setattr(lr_polytope, "_modular_rank", spy)
+    return calls
+
+
 def deterministic_value(eps: np.ndarray, config) -> int:
     """Bell sum of one assignment (k1, k2, l1, l2), term by term from eps."""
     k1, k2, l1, l2 = config
@@ -246,8 +265,10 @@ class TestExtremalVectors:
 
 class TestTightnessCertificate:
     @pytest.mark.parametrize("spec,_,count,rank", ORACLES)
-    def test_frozen_certificates(self, spec, _, count, rank):
+    def test_frozen_certificates(self, spec, _, count, rank, modular_calls):
         report = tightness_certificate(spec)
+        # Facets reach the bound over GF(2), without the modular stream.
+        assert modular_calls == []
         assert report.lr_max == 2.0
         assert report.m_counted == count
         assert report.m_formula == count
@@ -279,7 +300,9 @@ class TestTightnessCertificate:
 
     def test_ranks_match_exact_stream_on_random_specs(self):
         # With sizes 0..d-1 many specs fall short of the facet bound, so
-        # their rank is proven from above by the lifted null space.
+        # their rank is proven from above by the lifted null space.  The
+        # GF(2) rank, unstopped (bound = number of columns), never exceeds
+        # the exact one.
         shortfalls = 0
         for seed, min_size in ((13, 1), (17, 0)):
             rng = np.random.default_rng(seed)
@@ -289,15 +312,50 @@ class TestTightnessCertificate:
                     report = tightness_certificate(spec)
                     rank = self.reference_rank(spec)
                     assert (report.linear_rank, report.affine_rank) == (rank, rank), spec
+                    assert lr_polytope._gf2_rank(maximizers(spec), d, 4 * d * d) <= rank
                     shortfalls += rank < report.threshold
         assert shortfalls > 0
 
-    def test_unproven_rank_raises(self, monkeypatch):
+    def test_unproven_rank_raises(self, monkeypatch, modular_calls):
         # Modulo 2 the lift to symmetric residues loses the signs of the null
-        # space, so the exact check fails and no rank may be reported.
+        # space, so the exact check fails and no rank may be reported.  The
+        # GF(2) rank falls short on this spec, so the call reaches that check
+        # through the modular stream.
         monkeypatch.setattr(lr_polytope, "_PRIME", 2)
         with pytest.raises(ArithmeticError):
             tightness_certificate(BinningSpec(d=3, r1=(1,), r2=(), s1=(), s2=()))
+        assert modular_calls == [24]
+
+    def test_every_d3_spec_matches_the_modular_stream(self, monkeypatch):
+        # All 7^4 specs with subsets of size 0..2, shortfalls included.  The
+        # modular stream is deterministic, so each maximizer set runs it once:
+        # specs that complement all four subsets share one, and a shortfall's
+        # second pass reads the stream of its first.
+        memo = {}
+        modular = lr_polytope._modular_rank
+
+        def memoized(configs, d, bound):
+            key = (configs.tobytes(), bound)
+            if key not in memo:
+                memo[key] = modular(configs, d, bound)
+            return memo[key]
+
+        monkeypatch.setattr(lr_polytope, "_modular_rank", memoized)
+        subsets = [s for n in range(3) for s in itertools.combinations(range(3), n)]
+        specs = [BinningSpec(3, *sets) for sets in itertools.product(subsets, repeat=4)]
+        reports = [tightness_certificate(spec) for spec in specs]
+        monkeypatch.setattr(lr_polytope, "_gf2_rank", lambda configs, d, bound: 0)
+        assert [tightness_certificate(spec) for spec in specs] == reports
+        ranks = {report.linear_rank for report in reports}
+        assert 24 in ranks and min(ranks) < 24
+
+    def test_gf2_shortfall_is_proven_by_the_modular_stream(self, monkeypatch, modular_calls):
+        spec = T1(4)
+        expected = tightness_certificate(spec)
+        monkeypatch.setattr(lr_polytope, "_gf2_rank", lambda configs, d, bound: bound - 1)
+        report = tightness_certificate(spec)
+        assert modular_calls == [48]
+        assert report == expected and report.linear_rank == 48
 
     def test_every_free_column_is_checked(self):
         # A claimed basis that pivots on three of a row's four ones misses

@@ -303,6 +303,31 @@ class TestOperatorIdentity:
         residual = operator_identity_residual(operator, spec, OPTIMAL_PHASES)
         assert residual > 0.1
 
+    def test_trial_builds_each_basis_once(self, monkeypatch):
+        # The operator and the residual's observables read the same four
+        # bases; a residual from freshly built bases has the same bits.
+        calls = []
+
+        def counted(d, offset):
+            calls.append((d, offset))
+            return fourier_basis(d, offset)
+
+        monkeypatch.setattr(qudit, "fourier_basis", counted)
+        qudit._shared_basis.cache_clear()
+        rng = np.random.default_rng(41)
+        for _ in range(6):
+            d = int(rng.integers(2, 9))
+            spec = random_preset_free_spec(rng, d)
+            phases = random_phases(rng)
+            calls.clear()
+            operator = build_bell_operator(d, build_coefficients(spec), phases)
+            residual = operator_identity_residual(operator, spec, phases)
+            assert len(calls) == 4
+            qudit._shared_basis.cache_clear()
+            assert operator_identity_residual(operator, spec, phases) == residual
+        with pytest.raises(ValueError, match="read-only"):
+            qudit._shared_basis(3, 0.25)[0, 0] = 0.0
+
 
 class TestPresets:
     def test_subsets(self):
