@@ -49,6 +49,7 @@ real tridiagonal eigendecomposition per Bell value.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import operator
 import warnings
@@ -127,16 +128,24 @@ def _as_positive_float(value: float, name: str) -> float:
     return value
 
 
+@functools.lru_cache(maxsize=4)
 def _phase_parity_matrix(s: int, theta: float) -> np.ndarray:
-    # Pi(theta) = V diag((-1)^k) V^dagger with V holding the phase states
-    # as columns; built from the definition rather than its sparse
-    # closed form so the closed form stays an independent cross-check.
+    """Read-only Pi(theta) at cutoff s, kept for the last four (s, theta).
+
+    Pi(theta) = V diag((-1)^k) V^dagger with V holding the phase states as
+    columns; built from the definition rather than its sparse closed form
+    so the closed form stays an independent cross-check.  A scenario's four
+    angles do not depend on r, so a scan over r builds each matrix once.
+    theta = -0.0 shares the entry of 0.0, whose matrix has the same bits.
+    """
     n = np.arange(s + 1)[:, None]
     k = np.arange(s + 1)[None, :]
     theta_k = float(theta) + 2.0 * math.pi * k / (s + 1)
     v = np.exp(1j * n * theta_k) / math.sqrt(s + 1)
     signs = np.where(np.arange(s + 1) % 2 == 0, 1.0, -1.0)
-    return (v * signs) @ v.conj().T
+    matrix = (v * signs) @ v.conj().T
+    matrix.setflags(write=False)
+    return matrix
 
 
 @dataclasses.dataclass(frozen=True)
@@ -215,7 +224,8 @@ def cv_bell_expectation(scenario: CvScenario) -> float:
 
     Computed from explicit parity matrices contracted through the Schmidt
     form of the state.  At the reference angles it agrees with
-    tmss_bell_closed_form to machine precision.
+    tmss_bell_closed_form to machine precision.  The four matrices depend
+    only on s and the angles, and come from _phase_parity_matrix's cache.
     """
     if scenario.angle_separation() < ANGLE_DEGENERACY_THRESHOLD:
         warnings.warn(
@@ -366,8 +376,13 @@ def _tmss_amplitudes(cutoff_fock: int, r: float) -> np.ndarray:
     return amp / math.sqrt(float(amp @ amp))
 
 
+@functools.lru_cache(maxsize=1)
 def _displacement_spectrum(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lam, V, signs) shared by every displaced parity in one Fock space.
+    """Read-only (lam, V, signs) shared by every displaced parity in one Fock space.
+
+    The last dimension's spectrum is kept, so consecutive reference checks
+    at one cutoff (the free and anchored searches at one r) share one eigh;
+    it holds dim^2 floats, 0.8 MB at r = 2 and 43 MB at r = 3.
 
     T = V diag(lam) V^T, and exp(x (a^dagger - a)) = S exp(-i x T) S^dagger.
     T couples n only to n +/- 1, so cos(x T) lives on even m - n and
@@ -382,6 +397,8 @@ def _displacement_spectrum(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     off = np.sqrt(n[1:].astype(float))
     lam, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
     signs = np.where((n[:4, None] - n) % 4 < 2, 1.0, -1.0) * (-1.0) ** n
+    for array in (lam, v, signs):
+        array.setflags(write=False)
     return lam, v, signs
 
 
@@ -448,7 +465,8 @@ def bw_bell_value(
     Builds the two parity matrices per party from the truncated generator,
     all four from one shared eigendecomposition (see
     displaced_parity_matrix), and contracts through the Schmidt form;
-    serves as the reference route for the closed-form search.
+    serves as the reference route for the closed-form search.  A second
+    call at the same cutoff reuses the decomposition (_displacement_spectrum).
     """
     cutoff_fock = _check_fock_cutoff(cutoff_fock, r)
     c = _tmss_amplitudes(cutoff_fock, r)
@@ -464,8 +482,13 @@ def bw_bell_value(
 
 
 def _grid_start(r: float, anchor_zero: bool, grid_radius: float) -> np.ndarray:
-    # Best real settings on a displacement grid: (alpha, beta) for the
-    # anchored arrangement, (alpha, alpha', beta, beta') for the free one.
+    """Best real settings on a displacement grid: (alpha, beta) anchored,
+    (alpha, alpha', beta, beta') free, the first maximum in C order.
+
+    The free _GRID_POINTS^4 table is built one alpha row at a time, in
+    _chsh_table's term order; the first row whose own first maximum is the
+    largest (or NaN) holds the first maximum of the whole table.
+    """
     grid = np.linspace(-grid_radius, grid_radius, _GRID_POINTS)
     table = _parity_correlation(r, grid[:, None], grid[None, :])
     if anchor_zero:
@@ -473,20 +496,32 @@ def _grid_start(r: float, anchor_zero: bool, grid_radius: float) -> np.ndarray:
         # B = E(0,0) + E(0,beta) + E(alpha,0) - E(alpha,beta), with E(0,0) = 1.
         zero = _parity_correlation(r, grid, 0.0)
         combo = 1.0 + zero[None, :] + zero[:, None] - table
-    else:
+        return grid[np.array(np.unravel_index(np.argmax(combo), combo.shape))]
+    firsts, maxima = [], []
+    for i in range(_GRID_POINTS):
         # x + (-y) is x - y exactly, so this is E + E + E - E bit for bit.
-        combo = _chsh_table(table, table, table, -table)
-    return grid[np.array(np.unravel_index(np.argmax(combo), combo.shape))]
+        row = _chsh_table(table[i:i + 1], table[i:i + 1], table, -table).ravel()
+        firsts.append(int(np.argmax(row)))
+        maxima.append(row[firsts[-1]])
+    i = int(np.argmax(maxima))
+    return grid[np.array((i, *np.unravel_index(firsts[i], (_GRID_POINTS,) * 3)))]
 
 
 def _search_displacements(params: np.ndarray, anchor_zero: bool, is_complex: bool) -> np.ndarray:
     """(alpha, alpha', beta, beta') at search parameters (..., k): k = 8 interleaves
-    real and imaginary parts, k = 2 anchors alpha = beta = 0, k = 4 is the identity."""
+    real and imaginary parts, k = 2 anchors alpha = beta = 0, k = 4 is the identity.
+
+    The complex view keeps the sign of a zero part, where re + 1j * im would
+    drop it.  No output reads that sign: |z|^2 squares it, in Re(alpha beta)
+    it can only flip the sign of a zero exponent, and exp(-0.0) == exp(0.0),
+    and _displaced_parity tests alpha.imag == 0.0.
+    """
     if is_complex:
-        return params[..., 0::2] + 1j * params[..., 1::2]
+        return np.ascontiguousarray(params, dtype=float).view(complex)
     if anchor_zero:
-        zero = np.zeros(params.shape[:-1])
-        return np.stack([zero, params[..., 0], zero, params[..., 1]], axis=-1)
+        z = np.zeros(params.shape[:-1] + (4,))
+        z[..., 1], z[..., 3] = params[..., 0], params[..., 1]
+        return z
     return params
 
 

@@ -215,37 +215,53 @@ def _extremal_columns(d: int, configs: np.ndarray) -> tuple[np.ndarray, ...]:
     return (k1 * d + l1, dd + k1 * d + l2, 2 * dd + k2 * d + l1, 3 * dd + k2 * d + l2)
 
 
+def _set_bits(mask: int):
+    """Indices of the set bits of a nonnegative int, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _gf2_rank(configs: np.ndarray, d: int, bound: int) -> int:
     """Rank mod 2 of the configs' extremal vectors, stopping at bound.
 
     A row is a Python int with its four column bits set.  The basis is kept
-    in reduced row echelon form, keyed by pivot bit: no basis row holds
-    another's pivot, so a fresh row is reduced by XOR with the basis rows of
-    its (at most four) pivot bits, and a new pivot, its highest bit, is
-    cleared from the basis rows that hold it.  Rows are built a chunk at a
-    time and visited in the order of _modular_rank.
+    in reduced row echelon form: no basis row holds another's pivot, so a
+    fresh row is reduced by XOR with the basis rows of its (at most four)
+    pivot bits.  A new pivot, the fresh row's highest bit, is cleared from
+    the basis rows that hold it, which holders[c] names without a scan: a
+    bitmask over the basis slots whose row holds the non-pivot column c.
+    Rows are built a chunk at a time and visited in the order of
+    _modular_rank.
     """
     unit = [1 << c for c in range(4 * d * d)]
-    basis: dict[int, int] = {}
+    rows: list[int] = []
+    slot_of: dict[int, int] = {}
+    holders: dict[int, int] = {}
     order = np.random.default_rng(0).permutation(configs.shape[0])
     for start in range(0, order.size, _BIT_ROWS):
         cols = _extremal_columns(d, configs[order[start:start + _BIT_ROWS]])
         for c0, c1, c2, c3 in zip(*(c.tolist() for c in cols)):
             row = unit[c0] | unit[c1] | unit[c2] | unit[c3]
             for c in (c0, c1, c2, c3):
-                if c in basis:
-                    row ^= basis[c]
+                if c in slot_of:
+                    row ^= rows[slot_of[c]]
             if not row:
                 continue
             pivot = row.bit_length() - 1
-            bit = unit[pivot]
-            for key, held in basis.items():
-                if held & bit:
-                    basis[key] = held ^ row
-            basis[pivot] = row
-            if len(basis) == bound:
+            held = holders.pop(pivot, 0)
+            for slot in _set_bits(held):
+                rows[slot] ^= row
+            # The rows in held, and the new one, toggle the row's other bits.
+            toggle = held ^ (1 << len(rows))
+            for b in _set_bits(row ^ unit[pivot]):
+                holders[b] = holders.get(b, 0) ^ toggle
+            slot_of[pivot] = len(rows)
+            rows.append(row)
+            if len(rows) == bound:
                 return bound
-    return len(basis)
+    return len(rows)
 
 
 def _clear_column(block: np.ndarray, col: int, row: np.ndarray, support: np.ndarray) -> None:

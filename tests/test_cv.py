@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from binned_bell import cv
-from binned_bell.lr_polytope import build_coefficients
+from binned_bell import cli, cv
+from binned_bell.lr_polytope import _chsh_table, build_coefficients
 from binned_bell.qudit import BinningPreset, PhaseSettings, bell_expectation
 from binned_bell.cv import (
     SQRT8,
@@ -259,10 +259,19 @@ class TestDisplacedParity:
             shapes.append(matrix.shape)
             return eigh(matrix, *args, **kwargs)
 
+        cv._displacement_spectrum.cache_clear()
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         cutoff = required_fock_cutoff(0.8)
         bw_bell_value(cutoff, 0.8, (0.1, -0.2 + 0.1j), (0.0, -0.3))
         assert shapes == [(cutoff + 1, cutoff + 1)]
+        # The last cutoff's spectrum is kept: a second check there, as the
+        # anchored search makes after the free one, runs no eigh.
+        bw_bell_value(cutoff, 0.8, (0.0, 0.2), (0.1, -0.1))
+        assert shapes == [(cutoff + 1, cutoff + 1)]
+        bw_bell_value(cutoff + 1, 0.8, (0.0, 0.2), (0.1, -0.1))
+        assert shapes == [(cutoff + 1, cutoff + 1), (cutoff + 2, cutoff + 2)]
+        for array in cv._displacement_spectrum(cutoff + 2):
+            assert not array.flags.writeable
 
     def test_is_involution(self):
         op = displaced_parity_matrix(15, 0.3 - 0.2j)
@@ -421,6 +430,75 @@ class TestSpectralDisplacement:
             anchored = bw_displaced_parity_max(cutoff, r, anchor_zero=True, restarts=3, seed=0)
             assert abs(free - free_value) < 1e-12
             assert abs(anchored - anchored_value) < 1e-12
+
+
+class TestBuiltOnce:
+    """Operators that depend only on s and the angles, or on the Fock
+    dimension, are built once, and the cheaper forms keep every bit."""
+
+    def scan(self, capsys, s: int) -> str:
+        argv = ["scan-cv", "--s", str(s), "--rmin", "0.1", "--rmax", "3.0", "--steps", "30"]
+        assert cli.main(argv) == 0
+        return capsys.readouterr().out
+
+    def test_scan_builds_each_parity_matrix_once(self, capsys):
+        cv._phase_parity_matrix.cache_clear()
+        first = self.scan(capsys, 9)
+        info = cv._phase_parity_matrix.cache_info()
+        assert (info.misses, info.hits) == (4, 4 * 30 - 4)
+        scenario = CvScenario.with_reference_angles(9, 1.0)
+        for theta in (scenario.theta, scenario.theta_p, scenario.phi, scenario.phi_p):
+            matrix = _phase_parity_matrix(9, theta)
+            assert not matrix.flags.writeable
+            assert np.array_equal(matrix, _phase_parity_matrix.__wrapped__(9, theta))
+        # A scan at another cutoff evicts all four, and the cutoff is part
+        # of the key, so the next scan at s = 9 rebuilds the same bytes.
+        self.scan(capsys, 61)
+        assert self.scan(capsys, 9) == first
+        assert cv._phase_parity_matrix.cache_info().misses == 12
+
+    @pytest.mark.parametrize("r", [0.0, 0.05, 0.6, 2.0, 3.0])
+    def test_row_wise_grid_start_same_bits_as_full_table(self, r):
+        # The reference is the whole 21^4 table and its first maximum in C
+        # order; at r = 0 many entries tie for it.
+        grid = np.linspace(-search_box(r), search_box(r), cv._GRID_POINTS)
+        table = _parity_correlation(r, grid[:, None], grid[None, :])
+        full = _chsh_table(table, table, table, -table)
+        best = grid[np.array(np.unravel_index(np.argmax(full), full.shape))]
+        assert np.array_equal(cv._grid_start(r, False, search_box(r)), best)
+        if r == 0.0:
+            assert np.count_nonzero(full == full.max()) > 1
+
+    def test_search_displacements_same_bits_as_stacked_forms(self):
+        # The complex view keeps the sign of a zero part that re + 1j * im
+        # drops; no Bell value, closed form or reference, may read it.
+        rng = np.random.default_rng(41)
+        wide = rng.uniform(-0.8, 0.8, size=(6, 16))
+        wide[:, 1:8:2] = [0.0, -0.0, 0.0, -0.0]
+        wide[1::2, 0:8:2] = -0.0
+        integers = rng.integers(-1, 2, size=(5, 8))
+        signs_differ = False
+        for params in (wide[:, :8], wide[:, ::2], wide.T[::2].T, integers):
+            stacked = params[..., 0::2] + 1j * params[..., 1::2]
+            z = _search_displacements(params, False, True)
+            signs_differ |= np.any(np.signbit(z.real) != np.signbit(stacked.real))
+            signs_differ |= np.any(np.signbit(z.imag) != np.signbit(stacked.imag))
+            for r in (0.0, 0.9, 2.0):
+                assert np.array_equal(_bell_value(r, z), _bell_value(r, stacked))
+        assert signs_differ
+        for params in (wide[:, :2], wide[:, ::8], integers[:, :2]):
+            zero = np.zeros(params.shape[:-1])
+            stacked = np.stack([zero, params[..., 0], zero, params[..., 1]], axis=-1)
+            z = _search_displacements(params, True, False)
+            assert z.dtype == stacked.dtype
+            for r in (0.0, 0.9, 2.0):
+                assert np.array_equal(_bell_value(r, z), _bell_value(r, stacked))
+        cutoff = required_fock_cutoff(0.9)
+        params = wide[:2, :8]
+        for view, stacked in zip(_search_displacements(params, False, True),
+                                 params[..., 0::2] + 1j * params[..., 1::2]):
+            assert bw_bell_value(cutoff, 0.9, tuple(view[:2]), tuple(view[2:])) == bw_bell_value(
+                cutoff, 0.9, tuple(stacked[:2]), tuple(stacked[2:]))
 
 
 class TestDisplacedParityGuards:
