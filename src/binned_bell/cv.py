@@ -39,8 +39,9 @@ scaled two-mode Wigner function (Banaszek and Wodkiewicz, PRA 58, 4345
 
 with a plus sign on the last term in this convention; the other sign
 misses the truncated reference by about 1.1 at the search optima of
-r = 0.8-2.0.  The searches evaluate this closed form elementwise, for real
-and complex displacements alike, and never build a matrix.  The independent
+r = 0.8-2.0.  The searches run Newton ascents on this closed form and its
+exact derivatives, for real and complex displacements alike, and never
+build a matrix.  The independent
 reference that re-checks each returned optimum (displaced_parity_matrix,
 bw_bell_value) exponentiates the truncated generator instead, through one
 real tridiagonal eigendecomposition per Bell value.
@@ -56,7 +57,7 @@ import warnings
 
 import numpy as np
 
-from ._nelder_mead import _nelder_mead_lockstep
+from ._newton import newton_ascent
 from .lr_polytope import _chsh_table
 
 SQRT8 = 2.0 * math.sqrt(2.0)
@@ -481,30 +482,55 @@ def bw_bell_value(
     return e[0] + e[1] + e[2] - e[3]
 
 
-def _grid_start(r: float, anchor_zero: bool, grid_radius: float) -> np.ndarray:
-    """Best real settings on a displacement grid: (alpha, beta) anchored,
-    (alpha, alpha', beta, beta') free, the first maximum in C order.
+def _grid_starts(r: float, anchor_zero: bool, grid_radius: float, count: int) -> np.ndarray:
+    """Real settings on a displacement grid, (alpha, beta) anchored or
+    (alpha, alpha', beta, beta') free: the first maximum of each alpha row,
+    for the count best rows (at most _GRID_POINTS), best first.
 
     The free _GRID_POINTS^4 table is built one alpha row at a time, in
-    _chsh_table's term order; the first row whose own first maximum is the
-    largest (or NaN) holds the first maximum of the whole table.
+    _chsh_table's term order.  Rows of equal maxima keep their order, so the
+    first start is the first maximum of the whole table in C order.
     """
     grid = np.linspace(-grid_radius, grid_radius, _GRID_POINTS)
     table = _parity_correlation(r, grid[:, None], grid[None, :])
-    if anchor_zero:
-        # Settings are 0 and alpha for one party, 0 and beta for the other:
-        # B = E(0,0) + E(0,beta) + E(alpha,0) - E(alpha,beta), with E(0,0) = 1.
-        zero = _parity_correlation(r, grid, 0.0)
-        combo = 1.0 + zero[None, :] + zero[:, None] - table
-        return grid[np.array(np.unravel_index(np.argmax(combo), combo.shape))]
+    # Settings are 0 and alpha for one party, 0 and beta for the other:
+    # B = E(0,0) + E(0,beta) + E(alpha,0) - E(alpha,beta), with E(0,0) = 1.
+    zero = _parity_correlation(r, grid, 0.0)
+    shape = (_GRID_POINTS,) * (1 if anchor_zero else 3)
     firsts, maxima = [], []
     for i in range(_GRID_POINTS):
-        # x + (-y) is x - y exactly, so this is E + E + E - E bit for bit.
-        row = _chsh_table(table[i:i + 1], table[i:i + 1], table, -table).ravel()
+        if anchor_zero:
+            row = 1.0 + zero + zero[i] - table[i]
+        else:
+            # x + (-y) is x - y exactly, so this is E + E + E - E bit for bit.
+            row = _chsh_table(table[i:i + 1], table[i:i + 1], table, -table).ravel()
         firsts.append(int(np.argmax(row)))
         maxima.append(row[firsts[-1]])
-    i = int(np.argmax(maxima))
-    return grid[np.array((i, *np.unravel_index(firsts[i], (_GRID_POINTS,) * 3)))]
+    rows = np.argsort(-np.array(maxima), kind="stable")[:count]
+    return grid[np.array([(i, *np.unravel_index(firsts[i], shape)) for i in rows])]
+
+
+# The Bell sum's terms E(alpha_a, beta_b) in _chsh_table order, as indices
+# into (alpha, alpha', beta, beta'), and their signs.
+_TERMS = ((0, 2), (0, 3), (1, 2), (1, 3))
+_TERM_SIGNS = np.array([1.0, 1.0, 1.0, -1.0])
+
+
+def _exponent_forms(r: float) -> np.ndarray:
+    """Q (4, 8, 8) with E(alpha_a, beta_b) = exp(v^T Q[ab] v / 2) for term ab.
+
+    v = (Re alpha, Im alpha, Re alpha', Im alpha', Re beta, Im beta,
+    Re beta', Im beta').  With alpha = x + iy and beta = u + iw the exponent
+    is -2c(x^2 + y^2 + u^2 + w^2) + 4s(xu - yw), c = cosh 2r, s = sinh 2r.
+    """
+    c, s = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    q = np.zeros((4, 8, 8))
+    for k, (a, b) in enumerate(_TERMS):
+        for part, coupling in ((0, 4.0 * s), (1, -4.0 * s)):
+            i, j = 2 * a + part, 2 * b + part
+            q[k, i, i] = q[k, j, j] = -4.0 * c
+            q[k, i, j] = q[k, j, i] = coupling
+    return q
 
 
 def _search_displacements(params: np.ndarray, anchor_zero: bool, is_complex: bool) -> np.ndarray:
@@ -531,6 +557,41 @@ def _bell_value(r: float, z: np.ndarray) -> np.ndarray:
     return e[..., 0, 0] + e[..., 0, 1] + e[..., 1, 0] - e[..., 1, 1]
 
 
+def _bell_derivatives(forms: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Closed-form Bell sum at search parameters x, with its gradient and Hessian.
+
+    forms are the rows and columns of _exponent_forms at the coordinates x
+    holds.  Each term is E = exp(x^T Q x / 2), so its gradient is E Q x and
+    its Hessian E (Q + Q x x^T Q).
+    """
+    qx = forms @ x
+    e = _TERM_SIGNS * np.exp(0.5 * (qx @ x))
+    return e.sum(), e @ qx, np.tensordot(e, forms, 1) + (qx.T * e) @ qx
+
+
+def _best_displacements(r: float, anchor_zero: bool, complex_displacements: bool,
+                        restarts: int) -> np.ndarray:
+    """(alpha, alpha', beta, beta') at the best optimum found by the search of
+    bw_displaced_parity_max; complex only for complex_displacements."""
+    grid_radius = max(1.2 * math.exp(-r), 0.05)
+    starts = _grid_starts(r, anchor_zero, grid_radius, restarts + 1)
+    # The coordinates of _exponent_forms that the search moves; the rest are 0.
+    if complex_displacements:
+        coordinates = [0, 2, 3, 4, 5, 6, 7]  # Im alpha = 0
+        full = np.zeros((len(starts), 8))
+        full[:, 0::2] = starts
+        starts = full[:, coordinates]
+    else:
+        coordinates = [2, 6] if anchor_zero else [0, 2, 4, 6]
+    forms = _exponent_forms(r)[:, coordinates][:, :, coordinates]
+    fgh = functools.partial(_bell_derivatives, forms)
+    runs = [newton_ascent(fgh, x0, xtol=1e-14 * grid_radius) for x0 in starts]
+    x, _ = max(runs, key=lambda run: run[1])  # the first of equal values
+    if complex_displacements:
+        x = np.insert(x, 1, 0.0)
+    return _search_displacements(x, anchor_zero, complex_displacements)
+
+
 def bw_displaced_parity_max(
     cutoff_fock: int,
     r: float,
@@ -543,19 +604,23 @@ def bw_displaced_parity_max(
     """Best-found displaced-parity Bell value at squeezing r.
 
     By default all four displacements are real and free, which is the
-    arrangement whose optimum over r plateaus near 2.32; the best point of
-    a 21-point grid per axis seeds the first Nelder-Mead start and restarts
-    more start at random.  Optimal displacements shrink roughly like
-    exp(-r), so the grid and the random starts span [-R, R] with
-    R = max(1.2 exp(-r), 0.05).  anchor_zero restricts each party's first
-    setting to no displacement, a strictly weaker arrangement.
-    complex_displacements frees all eight real parameters; its first start
-    is the real grid optimum with zero imaginary parts.  All starts run in
-    lockstep (_nelder_mead_lockstep), each exactly as scipy's Nelder-Mead
-    with xatol = fatol = 1e-10 and maxiter/maxfev 4000/8000 (real) or
-    6000/12000 (complex); a later start wins only if strictly better.  The
-    grid and every round evaluate the closed-form correlation of the
-    untruncated state.  The returned value is the truncated reference,
+    arrangement whose optimum over r plateaus near 2.32.  anchor_zero
+    restricts each party's first setting to no displacement, a strictly
+    weaker arrangement.  complex_displacements frees all eight real
+    parameters.  The closed form depends on them only through |alpha|,
+    |beta| and Re(alpha beta), so one common rotation alpha -> alpha e^{i phi},
+    beta -> beta e^{-i phi} leaves the Bell sum unchanged; the search fixes
+    that gauge with Im alpha = 0 and runs on the other 7.
+
+    Starts come from a 21-point grid per axis over [-R, R],
+    R = max(1.2 exp(-r), 0.05), since optimal displacements shrink roughly
+    like exp(-r) (_grid_starts): the first maximum of the best alpha row,
+    then of the next-best rows, 1 + restarts starts in all (at most 21).
+    Complex starts have zero imaginary parts.  Each start runs one Newton
+    ascent (_newton.newton_ascent) on the exact gradient and Hessian of the
+    closed form (_bell_derivatives) and stops at a step below 1e-14 R; a
+    later start wins only if strictly better.  Nothing is random: seed is
+    accepted and ignored.  The returned value is the truncated reference,
     bw_bell_value, at the optimum found; if it disagrees with the closed
     form by more than 1e-8, or either is NaN, ArithmeticError is raised.
     Small squeezing needs a cutoff above required_fock_cutoff(r) for that
@@ -570,22 +635,8 @@ def bw_displaced_parity_max(
         raise ValueError(f"restarts must be nonnegative, got {restarts}")
     if anchor_zero and complex_displacements:
         raise ValueError("anchor_zero applies to real displacements only")
-    grid_radius = max(1.2 * math.exp(-r), 0.05)
-
-    start = _grid_start(r, anchor_zero, grid_radius)
-    if complex_displacements:
-        start = np.stack([start, np.zeros_like(start)], axis=-1).ravel()
-    maxiter = 6000 if complex_displacements else 4000
-    rng = np.random.default_rng(seed)
-    starts = [start, *rng.uniform(-grid_radius, grid_radius, size=(restarts, start.size))]
-
-    def objective(params: np.ndarray) -> np.ndarray:
-        return -_bell_value(r, _search_displacements(params, anchor_zero, complex_displacements))
-
-    sim, fsim = _nelder_mead_lockstep(objective, starts, maxiter=maxiter, maxfev=2 * maxiter)
-    best = np.argmin(fsim.min(axis=1))  # first of equal values: a later start must be better
-    value, x = float(-fsim[best].min()), sim[best, 0]
-    z = _search_displacements(x, anchor_zero, complex_displacements)
+    z = _best_displacements(r, anchor_zero, complex_displacements, restarts)
+    value = float(_bell_value(r, z))
     check = bw_bell_value(cutoff_fock, r, tuple(z[:2]), tuple(z[2:]))
     if not abs(check - value) <= 1e-8:
         raise ArithmeticError(

@@ -12,8 +12,11 @@ joint probability depends on x = k + l + alpha_a + beta_b only:
 
 Probabilities are always computed from explicit state/basis inner products;
 the closed-form kernel above is a fast path that must agree with the direct
-computation to 1e-10 and drives the phase optimizer.  For the parity binning
-(even outcomes, preset T1) and even d the Bell sum collapses to
+computation to 1e-10 and seeds the phase optimizer's grid.  The kernel is
+the Fejer kernel, so each Bell-sum term is a trigonometric polynomial of
+degree d - 1, whose exact derivatives drive the optimizer's Newton ascent.
+For the parity binning (even outcomes, preset T1) and even d the Bell sum
+collapses to
 
     B = cos(pi(a1+b1)) + cos(pi(a1+b2)) + cos(pi(a2+b1)) - cos(pi(a2+b2)),
 
@@ -30,13 +33,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._nelder_mead import _nelder_mead_lockstep
+from ._newton import newton_ascent
 from .lr_polytope import BinningSpec, CoefficientTensor, build_coefficients, zeta
 
 # Largest d whose dense d^2 x d^2 Bell operator build_bell_operator builds.
@@ -285,19 +288,20 @@ def operator_identity_residual(
     return float(np.abs(operator.matrix @ operator.matrix - target).max())
 
 
+
+
 class _KernelObjective:
-    """Fast Bell-sum evaluator used by the phase optimizer.
+    """Closed-form Bell sum, the kernel route of bell_expectation.
 
     Since the kernel depends on k + l only, the Bell sum collapses to
     sum_ab f_ab(t_ab) with t_ab = alpha_a + beta_b and
     f_ab(t) = sum_s c_ab(s) K(s + t), where c_ab(s) sums eps_ab over
-    k + l = s (mod d).  `sums` takes the t_ab of points (..., 4), built by
-    __call__ or the search, and makes one kernel call against s = 0..d-1.
-    The kernel is elementwise, and each f_ab stays one BLAS dot product of
-    two contiguous rows (a stacked (1, d) @ (d, 1) matmul), summed in the
-    order f11 + f12 + f21 + f22.  So every value is bit-identical to the four
-    pair_value calls at that point, whatever the batch around it; a fused
-    row sum rounds differently and would move the Nelder-Mead path.
+    k + l = s (mod d).  __call__ makes one kernel call against s = 0..d-1
+    for points (..., 4).  The kernel is elementwise, and each f_ab stays one
+    BLAS dot product of two contiguous rows (a stacked (1, d) @ (d, 1)
+    matmul), summed in the order f11 + f12 + f21 + f22, so every value is
+    bit-identical to the four pair_value calls at that point, whatever the
+    batch around it.
     """
 
     def __init__(self, coeffs: CoefficientTensor):
@@ -320,22 +324,42 @@ class _KernelObjective:
         out = self._c[a, b] @ kern
         return out.reshape(t.shape)
 
-    def sums(self, t: np.ndarray) -> np.ndarray:
-        """Bell sum at each point t[..., :] = (a1+b1, a1+b2, a2+b1, a2+b2)."""
-        kern = probability_kernel(self.d, t[..., None] + self._s)
-        f = np.matmul(kern[..., None, :], self._c.reshape(4, self.d, 1))[..., 0, 0]
-        return f[..., 0] + f[..., 1] + f[..., 2] + f[..., 3]
-
     def __call__(self, x) -> np.ndarray:
         """Bell sum at each point x[..., :] = (alpha1, alpha2, beta1, beta2)."""
         x = np.asarray(x, dtype=float)
         # t[..., 2a + b] = alpha_a + beta_b: a1+b1, a1+b2, a2+b1, a2+b2.
-        return self.sums((x[..., :2, None] + x[..., None, 2:]).reshape(x.shape[:-1] + (4,)))
+        t = (x[..., :2, None] + x[..., None, 2:]).reshape(x.shape[:-1] + (4,))
+        kern = probability_kernel(self.d, t[..., None] + self._s)
+        f = np.matmul(kern[..., None, :], self._c.reshape(4, self.d, 1))[..., 0, 0]
+        return f[..., 0] + f[..., 1] + f[..., 2] + f[..., 3]
 
 
-# Nelder-Mead caps of the phase search.
-_NM_MAXITER = 4000
-_NM_MAXFEV = 8000
+def _fourier_table(c: np.ndarray) -> np.ndarray:
+    """(2d, 3) table T with [cos(w t), sin(w t)] @ T = [f(t), f'(t), f''(t)].
+
+    f(t) = sum_s c(s) K(s + t), and w_m = 2 pi m / d for m = 0..d-1.  K is
+    the Fejer kernel, K(x) = sum_{|m|<d} (d - |m|) e^{2 pi i m x / d} / d^3,
+    so f(t) = sum_{|m|<d} F_m e^{i w_m t} with
+    F_m = (d - |m|) / d^3 sum_s c(s) e^{2 pi i m s / d}.  c is real, so
+    F_-m is the conjugate of F_m, and f(t) = F_0 + sum_{m>0} 2 Re(F_m)
+    cos(w_m t) - 2 Im(F_m) sin(w_m t); f' and f'' follow term by term.
+    """
+    d = c.size
+    m = np.arange(d)
+    w = 2.0 * np.pi * m / d
+    angle = 2.0 * np.pi * (np.outer(m, m) % d) / d
+    weight = np.where(m == 0, 1.0, 2.0) * (d - m) / d**3
+    cos_part = weight * (np.cos(angle) @ c)
+    sin_part = -weight * (np.sin(angle) @ c)
+    return np.vstack([np.column_stack([cos_part, w * sin_part, -w**2 * cos_part]),
+                      np.column_stack([sin_part, -w * cos_part, -w**2 * sin_part])])
+
+
+def _pair_derivatives(table: np.ndarray, t) -> np.ndarray:
+    """Rows [f(t), f'(t), f''(t)] at each offset sum t, from _fourier_table."""
+    d = len(table) // 2
+    wt = np.outer(np.mod(t, d), 2.0 * np.pi * np.arange(d) / d)
+    return np.hstack([np.cos(wt), np.sin(wt)]) @ table
 
 
 def _grid_start(objective: _KernelObjective) -> tuple[list[float], float]:
@@ -358,6 +382,23 @@ def _grid_start(objective: _KernelObjective) -> tuple[list[float], float]:
     return [t[j_plus[m]], t[j_minus[m]], t[m]], float(h[m])
 
 
+# Offset sums (a1, a1 + b2, a2, a2 + b2) of the gauge-fixed point (a1, a2, b2),
+# and the sign of each pair function in the Bell sum.
+_OFFSET_SUMS = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+_PAIR_SIGNS = np.array([1.0, 1.0, 1.0, -1.0])
+
+
+def _phase_derivatives(table: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """F at the gauge-fixed point x = (a1, a2, b2), with its gradient and Hessian.
+
+    F = sum_i sign_i f(t_i) over the offset sums t = _OFFSET_SUMS @ x, so the
+    gradient is _OFFSET_SUMS^T (sign f'(t)) and the Hessian is
+    _OFFSET_SUMS^T diag(sign f''(t)) _OFFSET_SUMS.
+    """
+    f, df, d2f = (_PAIR_SIGNS[:, None] * _pair_derivatives(table, _OFFSET_SUMS @ x)).T
+    return f.sum(), _OFFSET_SUMS.T @ df, (_OFFSET_SUMS.T * d2f) @ _OFFSET_SUMS
+
+
 def optimize_phases(d: int, preset: BinningPreset | str) -> tuple[PhaseSettings, float]:
     """Best-found phases and Bell value for a binning preset.
 
@@ -371,11 +412,11 @@ def optimize_phases(d: int, preset: BinningPreset | str) -> tuple[PhaseSettings,
     max-plus correlations of one vector in O(N^2) (_grid_start).  The grid
     is one full period at spacing 1/16, N = 16 d; a fixed N grows coarse
     with d and misses basins (N = 256 gives t2 at d = 29 2.3581, not
-    2.3644).  The best grid point starts one Nelder-Mead in (a1, a2, b2) on
-    the kernel objective's sums at t = (a1, a1 + b2, a2, a2 + b2), indexed
-    with no zero column (one probability_kernel call per round), which
-    follows scipy.optimize.minimize(method="Nelder-Mead") bit for bit with
-    xatol = fatol = 1e-10, maxiter 4000 and maxfev 8000.  Nothing is random.
+    2.3644).  The best grid point starts one Newton ascent in (a1, a2, b2)
+    (_newton.newton_ascent).  f is a trigonometric polynomial of degree
+    d - 1 (_fourier_table), so f, f' and f'' at the four offset sums come
+    from one small matrix product, and with them F, its gradient and its
+    Hessian.  The ascent stops at a step below 1e-13 d.  Nothing is random.
     The value is re-evaluated through the direct inner-product path at the
     reduced phases, so it is a genuine lower bound on the quantum maximum.
     """
@@ -390,13 +431,7 @@ def optimize_phases(d: int, preset: BinningPreset | str) -> tuple[PhaseSettings,
             and np.array_equal(c[1, 1], -c[0, 0])):
         raise ValueError("the phase search needs one subset for R1, R2, S1 and S2")
     start, _ = _grid_start(objective)
-
-    def minus_bell(x: np.ndarray) -> np.ndarray:  # x[..., :] = (a1, a2, b2)
-        t = x[..., [0, 0, 1, 1]]
-        t[..., 1::2] += x[..., 2:]
-        return -objective.sums(t)
-
-    sim, _ = _nelder_mead_lockstep(minus_bell, [start], maxiter=_NM_MAXITER, maxfev=_NM_MAXFEV)
-    a1, a2, b2 = sim[0, 0]
+    table = _fourier_table(c[0, 0])
+    (a1, a2, b2), _ = newton_ascent(partial(_phase_derivatives, table), start, xtol=1e-13 * d)
     phases = PhaseSettings(a1, a2, 0.0, b2).reduced(d)
     return phases, bell_expectation(d, coeffs, phases, method="direct")

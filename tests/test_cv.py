@@ -5,12 +5,14 @@ from __future__ import annotations
 import math
 import re
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from binned_bell import cli, cv
+from binned_bell._newton import newton_ascent
 from binned_bell.lr_polytope import _chsh_table, build_coefficients
 from binned_bell.qudit import BinningPreset, PhaseSettings, bell_expectation
 from binned_bell.cv import (
@@ -19,7 +21,11 @@ from binned_bell.cv import (
     CvScenario,
     FockCutoffError,
     TruncatedTmss,
+    _bell_derivatives,
     _bell_value,
+    _best_displacements,
+    _exponent_forms,
+    _grid_starts,
     _parity_correlation,
     _phase_parity_matrix,
     _search_displacements,
@@ -338,7 +344,7 @@ class TestDisplacedParity:
 
     def test_complex_search_starts_from_real_optimum(self):
         # The complex search's first start is the real grid optimum, so it
-        # reaches the real value where random starts alone stalled near 2.
+        # reaches the real value.
         r = 0.6
         cutoff = required_fock_cutoff(r)
         real_value = bw_displaced_parity_max(cutoff, r, restarts=3, seed=0)
@@ -465,9 +471,24 @@ class TestBuiltOnce:
         table = _parity_correlation(r, grid[:, None], grid[None, :])
         full = _chsh_table(table, table, table, -table)
         best = grid[np.array(np.unravel_index(np.argmax(full), full.shape))]
-        assert np.array_equal(cv._grid_start(r, False, search_box(r)), best)
+        assert np.array_equal(cv._grid_starts(r, False, search_box(r), 1)[0], best)
         if r == 0.0:
             assert np.count_nonzero(full == full.max()) > 1
+        # Further starts are the first maxima of the next-best alpha rows.
+        rows = full.reshape(cv._GRID_POINTS, -1)
+        order = np.argsort(-rows.max(axis=1), kind="stable")[:5]
+        expected = [grid[np.array((i, *np.unravel_index(np.argmax(rows[i]), full.shape[1:])))]
+                    for i in order]
+        assert np.array_equal(cv._grid_starts(r, False, search_box(r), 5), expected)
+
+    @pytest.mark.parametrize("r", [0.0, 0.6, 2.0])
+    def test_anchored_grid_starts_are_row_maxima(self, r):
+        grid = np.linspace(-search_box(r), search_box(r), cv._GRID_POINTS)
+        e = lambda a, b: _parity_correlation(r, a, b)
+        combo = 1.0 + e(0.0, grid)[None, :] + e(grid, 0.0)[:, None] - e(grid[:, None], grid[None, :])
+        order = np.argsort(-combo.max(axis=1), kind="stable")
+        expected = [(grid[i], grid[np.argmax(combo[i])]) for i in order]
+        assert np.array_equal(cv._grid_starts(r, True, search_box(r), 30), expected)
 
     def test_search_displacements_same_bits_as_stacked_forms(self):
         # The complex view keeps the sign of a zero part that re + 1j * im
@@ -526,3 +547,104 @@ class TestDisplacedParityGuards:
         monkeypatch.setattr(cv, "_parity_correlation", nan_values)
         with pytest.raises(ArithmeticError, match="disagrees"):
             self.search(restarts=0)
+
+
+# Arrangements of the displaced-parity search: keyword arguments and the
+# coordinates of _exponent_forms that the search moves.
+ARRANGEMENTS = {
+    "free": ({}, [0, 2, 4, 6]),
+    "anchored": ({"anchor_zero": True}, [2, 6]),
+    "complex": ({"complex_displacements": True}, [0, 2, 3, 4, 5, 6, 7]),
+}
+
+
+def search_forms(r: float, arrangement: str) -> np.ndarray:
+    coordinates = ARRANGEMENTS[arrangement][1]
+    return _exponent_forms(r)[:, coordinates][:, :, coordinates]
+
+
+def full_displacements(coordinates, x: np.ndarray) -> np.ndarray:
+    """(alpha, alpha', beta, beta') as complex numbers from the moved coordinates x."""
+    v = np.zeros(8)
+    v[coordinates] = x
+    return v[0::2] + 1j * v[1::2]
+
+
+class TestBellDerivatives:
+    @pytest.mark.parametrize("arrangement", sorted(ARRANGEMENTS))
+    @pytest.mark.parametrize("r", [0.0, 0.3, 1.0, 2.0])
+    def test_gradient_and_hessian_match_central_differences(self, arrangement, r):
+        forms = search_forms(r, arrangement)
+        fgh = partial(_bell_derivatives, forms)
+        rng = np.random.default_rng(int(10 * r) + len(arrangement))
+        for x in rng.uniform(-search_box(r), search_box(r), size=(4, forms.shape[1])):
+            value, grad, hess = fgh(x)
+            z = full_displacements(ARRANGEMENTS[arrangement][1], x)
+            assert value == pytest.approx(float(_bell_value(r, z)), abs=1e-14)
+            # The curvature grows like cosh 2r, so the step shrinks like exp(-r).
+            h = 1e-5 * search_box(r)
+            steps = h * np.eye(len(x))
+            fd_grad = np.array([fgh(x + e)[0] - fgh(x - e)[0] for e in steps]) / (2 * h)
+            fd_hess = np.array([fgh(x + e)[1] - fgh(x - e)[1] for e in steps]) / (2 * h)
+            scale = 4.0 * math.cosh(2.0 * r)
+            assert np.abs(grad - fd_grad).max() < 1e-7 * scale
+            assert np.abs(hess - fd_hess).max() < 1e-7 * scale**2 * search_box(r)
+
+
+class TestComplexGauge:
+    @pytest.mark.parametrize("r", np.round(np.linspace(0.1, 3.0, 8), 3).tolist())
+    def test_imaginary_block_is_singular_only_along_the_rotation(self, r):
+        # At the real optimum the Bell sum is even in the imaginary parts
+        # (y, y', w, w'), so their gradient vanishes.  Their Hessian block is
+        # negative semidefinite, not definite: alpha -> alpha e^{i phi},
+        # beta -> beta e^{-i phi} moves along y = phi x, w = -phi u without
+        # changing the sum.  On the rest of the block it is negative definite.
+        z = _best_displacements(r, False, False, 0)
+        v = np.zeros(8)
+        v[0::2] = z
+        _, grad, hess = _bell_derivatives(_exponent_forms(r), v)
+        assert np.all(grad[1::2] == 0.0)
+        lam, vectors = np.linalg.eigh(hess[1::2, 1::2])
+        rotation = np.array([z[0], z[1], -z[2], -z[3]]) / np.linalg.norm(z)
+        assert abs(lam[-1]) <= 1e-13 * abs(lam[0])
+        assert abs(vectors[:, -1] @ rotation) > 1.0 - 1e-12
+        assert lam[-2] < -1e-7 * abs(lam[0])
+
+    @pytest.mark.parametrize("r", [0.3, 0.6, 1.0, 1.6])
+    def test_complex_search_returns_the_real_value(self, r):
+        cutoff = required_fock_cutoff(r) + (5 if r < 0.5 else 0)
+        real = bw_displaced_parity_max(cutoff, r, restarts=1)
+        assert abs(bw_displaced_parity_max(cutoff, r, complex_displacements=True, restarts=1)
+                   - real) <= 1e-15
+
+
+class TestNewtonSafeguards:
+    @pytest.mark.parametrize("arrangement", sorted(ARRANGEMENTS))
+    @pytest.mark.parametrize("r", [0.0, 0.3, 0.8, 2.0])
+    def test_no_search_returns_less_than_its_grid_start(self, arrangement, r):
+        kwargs = ARRANGEMENTS[arrangement][0]
+        grid_best = _grid_starts(r, kwargs.get("anchor_zero", False), search_box(r), 1)[0]
+        z = grid_best if len(grid_best) == 4 else np.array([0.0, grid_best[0], 0.0, grid_best[1]])
+        cutoff = required_fock_cutoff(r) + 5
+        value = bw_displaced_parity_max(cutoff, r, restarts=2, **kwargs)
+        assert value >= float(_bell_value(r, z)) - 1e-12
+
+    def test_indefinite_start_still_ascends(self):
+        fgh = partial(_bell_derivatives, search_forms(1.0, "free"))
+        found = 0
+        for x in np.random.default_rng(3).uniform(-0.5, 0.5, size=(200, 4)):
+            value, grad, hess = fgh(x)
+            if np.linalg.eigvalsh(hess)[-1] <= 0 or grad @ np.linalg.solve(hess, grad) <= 0:
+                continue  # only points where -H^-1 g descends
+            found += 1
+            _, first = newton_ascent(fgh, x, xtol=1e-16, max_steps=1)
+            assert first > value
+        assert found >= 5
+
+    @pytest.mark.parametrize("arrangement", sorted(ARRANGEMENTS))
+    def test_seed_changes_no_output(self, arrangement):
+        r = 0.8
+        kwargs = ARRANGEMENTS[arrangement][0]
+        values = {bw_displaced_parity_max(required_fock_cutoff(r), r, restarts=2, seed=seed,
+                                          **kwargs) for seed in (0, 1, 12345)}
+        assert len(values) == 1

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+from functools import partial
 import subprocess
 import sys
 
@@ -12,14 +13,16 @@ import pytest
 
 import binned_bell
 from binned_bell import cli, qudit
-from binned_bell.cv import _bell_value, _search_displacements
+from binned_bell._newton import newton_ascent
 from binned_bell.lr_polytope import BinningSpec, CoefficientTensor, _chsh_table, build_coefficients
 from binned_bell.qudit import (
     SQRT8,
     BinningPreset,
     _KernelObjective,
+    _fourier_table,
     _grid_start,
-    _nelder_mead_lockstep,
+    _pair_derivatives,
+    _phase_derivatives,
     _probability_matrix,
     MeasurementBasis,
     PhaseSettings,
@@ -465,214 +468,103 @@ class TestKernelObjective:
         reference = per_pair_batch(objective, points)
         for x, expected in zip(points, reference):
             assert objective(x) == expected
-        # Stacked calls, as the lockstep search makes them, give the same
-        # bits as one point at a time, whatever the batch shape.
+        # Stacked calls give the same bits as one point at a time, whatever
+        # the batch shape.
         assert np.array_equal(objective(points), reference)
         assert np.array_equal(objective(points[:42]), reference[:42])
         assert np.array_equal(objective(points.reshape(20, 20, 4)), reference.reshape(20, 20))
 
-    @pytest.mark.parametrize("kind,d", [("t2", 8), ("t3", 5), ("t1", 7), ("t3", 14)])
-    @pytest.mark.parametrize("seed", [0, 7])
-    def test_search_path_unchanged_by_fused_evaluation(self, monkeypatch, capsys, kind, d, seed):
-        # Through the CLI, whose --seed the search ignores: the per-pair
-        # route prints the row of the fused one for either seed.
-        argv = ["scan-qudit", "--binning", kind, "--dmin", str(d), "--dmax", str(d),
-                "--seed", str(seed), "--format", "csv"]
-        fused = optimize_phases(d, BinningPreset(kind, d))
-        assert cli.main(argv) == 0
-        fused_row = capsys.readouterr().out
-        # The search evaluates through the sums route; the per-pair route
-        # takes its place, point by point.
-        batches = []
 
-        def per_pair_route(objective, t):
-            batches.append(t.shape)
-            values = [per_pair_sums(objective, p) for p in t.reshape(-1, 4)]
-            return np.array(values).reshape(t.shape[:-1])
-
-        monkeypatch.setattr(_KernelObjective, "sums", per_pair_route)
-        assert optimize_phases(d, BinningPreset(kind, d)) == fused
-        # The first round evaluates the 4 initial vertices, the next one point.
-        assert batches[:2] == [(4, 4), (1, 4)]
-        batches.clear()
-        assert cli.main(argv) == 0
-        assert capsys.readouterr().out == fused_row
-        assert batches[:2] == [(4, 4), (1, 4)]
+ALL_PRESETS = [(kind, d) for kind in ("t1", "t2", "t3") for d in range(2, 33)
+               if (kind, d) != ("t2", 2)]
 
 
-def scipy_nelder_mead(func, x0, *, maxiter=4000, maxfev=8000):
-    """One start of the parent search: scipy's Nelder-Mead on func.
-
-    Returns the result and every value scipy evaluated.
-    """
-    from scipy.optimize import minimize
-
-    seen = []
-
-    def recorded(x):
-        seen.append(func(x))
-        return seen[-1]
-
-    res = minimize(
-        recorded,
-        x0,
-        method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-10, "maxiter": maxiter, "maxfev": maxfev},
-    )
-    return res, seen
+def pair_function(kind: str, d: int) -> tuple[_KernelObjective, np.ndarray]:
+    """A preset's kernel objective and the Fourier table of its one pair function f."""
+    objective = _KernelObjective(build_coefficients(BinningPreset(kind, d).to_binning_spec()))
+    return objective, _fourier_table(objective._c[0, 0])
 
 
-def assert_lockstep_matches_scipy(func, starts, sim, fsim, **caps) -> set[str]:
-    """Compare each start's final simplex, x and fun with scipy's, by ==.
-
-    Returns how scipy's runs were cut mid-iteration: a dropped expansion
-    leaves an evaluated value below the returned one, and a partial shrink
-    leaves a moved vertex whose stored value is stale.
-    """
-    cut = set()
-    for x0, s, f in zip(starts, sim, fsim):
-        res, seen = scipy_nelder_mead(func, x0, **caps)
-        ref_sim, ref_fsim = res.final_simplex
-        assert np.array_equal(s, ref_sim) and np.array_equal(f, ref_fsim), caps
-        assert np.array_equal(s[0], res.x) and f.min() == res.fun, caps
-        if seen and min(seen) < res.fun:
-            cut.add("expansion")
-        if np.any(np.isfinite(f) & (func(s) != f)):
-            cut.add("shrink")
-    return cut
+def central_differences(fgh, x: np.ndarray, h: float = 1e-5) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient from the values and Hessian from the gradients of fgh, by central differences."""
+    steps = h * np.eye(len(x))
+    grad = np.array([fgh(x + e)[0] - fgh(x - e)[0] for e in steps]) / (2 * h)
+    hess = np.array([fgh(x + e)[1] - fgh(x - e)[1] for e in steps]) / (2 * h)
+    return grad, hess
 
 
-def lockstep_starts(seed: int, n: int = 4) -> np.ndarray:
-    """A grid-like start with zero coordinates, then seeded random starts."""
-    rng = np.random.default_rng(seed)
-    return np.vstack([np.resize([0.0, 0.5, 1.25, 0.0], n), rng.uniform(0.0, 2.0, size=(4, n))])
+class TestFourierDerivatives:
+    @pytest.mark.parametrize("kind", ["t1", "t2", "t3"])
+    def test_fourier_table_reproduces_pair_value(self, kind):
+        for d in range(3 if kind == "t2" else 2, 33):
+            objective, table = pair_function(kind, d)
+            rng = np.random.default_rng(d)
+            # Offset sums at least 0.1 off the integers, on them (the
+            # kernel's pole branch) and just above them.  Within delta below
+            # a multiple of d the kernel's two sines round apart, by about
+            # 1e-15 / delta relative (3e-7 at delta = 1e-9, 1.4e-13 absolute
+            # at delta = 0.01 and d = 14); the Fourier form does not.
+            on_pole = rng.integers(-d, 2 * d, 50).astype(float)
+            t = np.concatenate([on_pole + rng.uniform(0.1, 0.9, 50), on_pole,
+                                on_pole + 10.0 ** rng.uniform(-12, -8.3, 50)])
+            for a, b, sign in ((0, 0, 1.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, -1.0)):
+                error = sign * _pair_derivatives(table, t)[:, 0] - objective.pair_value(a, b, t)
+                assert np.abs(error).max() < 1e-13, (kind, d, a, b)
+
+    @pytest.mark.parametrize("kind,d", [("t1", 2), ("t1", 5), ("t2", 8), ("t3", 7), ("t3", 32)])
+    def test_pair_derivatives_match_central_differences(self, kind, d):
+        _, table = pair_function(kind, d)
+        t = np.random.default_rng(d).uniform(-d, 2 * d, 40)
+        h = 1e-5
+        rows, ahead, behind = (_pair_derivatives(table, t + u) for u in (0.0, h, -h))
+        assert np.abs(rows[:, 1:] - (ahead[:, :2] - behind[:, :2]) / (2 * h)).max() < 1e-7
+
+    @pytest.mark.parametrize("kind,d", [("t1", 3), ("t2", 8), ("t3", 7), ("t3", 32)])
+    def test_phase_gradient_and_hessian_match_central_differences(self, kind, d):
+        objective, table = pair_function(kind, d)
+        for x in np.random.default_rng(d + 1).uniform(0, d, size=(5, 3)):
+            value, grad, hess = _phase_derivatives(table, x)
+            fd_grad, fd_hess = central_differences(partial(_phase_derivatives, table), x)
+            assert value == pytest.approx(objective([x[0], x[1], 0.0, x[2]]), abs=1e-13)
+            assert np.abs(grad - fd_grad).max() < 1e-7
+            assert np.abs(hess - fd_hess).max() < 1e-7
 
 
-CV_SEARCHES = {"cv-free": (False, False, 4), "cv-anchored": (True, False, 2),
-               "cv-complex": (False, True, 8)}
+class TestNewtonSearch:
+    def test_indefinite_start_still_ascends(self):
+        # At these points the plain Newton step -H^-1 g descends, so only the
+        # shifted Hessian's step can raise F.
+        _, table = pair_function("t3", 7)
+        fgh = partial(_phase_derivatives, table)
+        found = 0
+        for x in np.random.default_rng(5).uniform(0, 7, size=(200, 3)):
+            value, grad, hess = fgh(x)
+            if np.linalg.eigvalsh(hess)[-1] <= 0 or grad @ np.linalg.solve(hess, grad) <= 0:
+                continue
+            found += 1
+            _, first = newton_ascent(fgh, x, xtol=1e-13, max_steps=1)
+            assert first > value
+            assert newton_ascent(fgh, x, xtol=1e-13)[1] >= first
+        assert found >= 5
 
+    def test_step_cap_returns_best_point_so_far(self):
+        objective, table = pair_function("t2", 11)
+        fgh = partial(_phase_derivatives, table)
+        start, _ = _grid_start(objective)
+        values = []
+        for steps in range(6):
+            x, value = newton_ascent(fgh, start, xtol=1e-13, max_steps=steps)
+            assert value == fgh(x)[0]
+            values.append(value)
+        assert values[0] == fgh(np.array(start))[0]
+        assert all(b >= a - 1e-14 * abs(a) for a, b in zip(values, values[1:]))
+        assert values[-1] > values[0]
 
-def search_objective(kind: str, d: int):
-    """The minimized objective of a search and its number of parameters.
-
-    kind t1/t2/t3 is the phase search at dimension d; a cv-* kind is the
-    closed-form displaced-parity search of that arrangement at squeezing
-    r = d / 10.
-    """
-    if kind not in CV_SEARCHES:
-        objective = _KernelObjective(build_coefficients(BinningPreset(kind, d).to_binning_spec()))
-        return (lambda x: -objective(x)), 4
-    anchor_zero, complex_displacements, n = CV_SEARCHES[kind]
-    r = d / 10
-    return (
-        lambda x: -_bell_value(r, _search_displacements(x, anchor_zero, complex_displacements))
-    ), n
-
-
-class TestLockstepNelderMead:
-    @pytest.mark.parametrize(
-        "kind,d",
-        [("t1", 2), ("t3", 2)]
-        + [(k, d) for d in (5, 8, 32) for k in ("t1", "t2", "t3")]
-        + [(k, d) for d in (9, 14) for k in CV_SEARCHES],
-    )
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_every_start_matches_scipy_bit_for_bit(self, kind, d, seed):
-        func, n = search_objective(kind, d)
-        # Displacements near the optimum are well below 1 at these squeezings.
-        starts = lockstep_starts(seed, n) * (0.25 if kind in CV_SEARCHES else 1.0)
-        sim, fsim = _nelder_mead_lockstep(func, starts, maxiter=4000, maxfev=8000)
-        assert_lockstep_matches_scipy(func, starts, sim, fsim)
-
-    @pytest.mark.parametrize(
-        "func",
-        [lambda x: np.zeros(np.shape(x)[:-1]), lambda x: np.floor(2 * x).sum(axis=-1)],
-        ids=["constant", "staircase"],
-    )
-    def test_ties_resolve_like_scipy(self, func):
-        # Equal values at every vertex: scipy's argsort (not a stable sort)
-        # orders the ties, and failed contractions shrink the simplex.
-        starts = lockstep_starts(5)
-        sim, fsim = _nelder_mead_lockstep(func, starts, maxiter=4000, maxfev=8000)
-        assert_lockstep_matches_scipy(func, starts, sim, fsim)
-
-    def test_non_finite_values_resolve_like_scipy(self):
-        # A bowl with NaN and +inf on slabs the searches cross and -inf on a
-        # corner they fall into.  NaN fails every comparison, so it sorts
-        # last; on the plateau x3 > 1.6, NaN cells finer than the tolerance
-        # leave a NaN worst vertex when the rest of the simplex has
-        # converged, and the convergence test must not pass over it.  A -inf
-        # simplex never converges.
-        def func(x):
-            value = sum((x[..., k] - 0.7) ** 2 for k in range(4))
-            plateau = x[..., 3] > 1.6
-            value = np.where(plateau, -1.0, value)
-            value = np.where(plateau & (np.floor(x[..., 0] * 2.0**34) % 2 == 1), np.nan, value)
-            value = np.where((1.0 < x[..., 0]) & (x[..., 0] < 1.15), np.nan, value)
-            value = np.where((1.3 < x[..., 1]) & (x[..., 1] < 1.45), np.inf, value)
-            return np.where((x[..., 2] < 0.25) & (x[..., 3] < 0.25), -np.inf, value)
-
-        boundary = [[0.97, 0.7, 0.7, 0.7], [0.7, 1.25, 0.7, 0.7], [0.7, 0.7, 0.7, 1.8]]
-        starts = np.vstack([lockstep_starts(0), boundary])
-        caps = {"maxiter": 1000, "maxfev": 2000}
-        sim, fsim = _nelder_mead_lockstep(func, starts, **caps)
-        seen_all, escaped = [], False
-        for x0, s, f in zip(starts, sim, fsim):
-            # scipy's convergence test subtracts inf from inf here.
-            with np.errstate(invalid="ignore"):
-                res, seen = scipy_nelder_mead(func, x0, **caps)
-            ref_sim, ref_fsim = res.final_simplex
-            assert np.array_equal(s, ref_sim) and np.array_equal(f, ref_fsim, equal_nan=True)
-            seen_all += seen
-            escaped |= not np.all(np.isfinite(seen)) and np.all(np.isfinite(f))
-        seen_all = np.array(seen_all)
-        assert np.isnan(seen_all).any() and np.isposinf(seen_all).any()
-        assert np.isneginf(seen_all).any() and escaped
-
-    @pytest.mark.parametrize("kind,d", [("t3", 5), ("cv-complex", 9)])
-    def test_func_gets_one_float64_batch_per_round(self, kind, d):
-        func, n = search_objective(kind, d)
-        batches = []
-
-        def recording(x):
-            batches.append(x)
-            return func(x)
-
-        starts = lockstep_starts(1, n) * (0.25 if kind in CV_SEARCHES else 1.0)
-        sim, fsim = _nelder_mead_lockstep(recording, starts, maxiter=40, maxfev=80)
-        assert batches
-        for x in batches:
-            assert type(x) is np.ndarray and x.dtype == np.float64 and x.flags.c_contiguous
-            assert x.ndim == 2 and 1 <= len(x) <= len(starts) * (n + 1) and x.shape[1] == n
-        assert sim.dtype == fsim.dtype == np.float64
-        assert sim.shape == (len(starts), n + 1, n) and fsim.shape == (len(starts), n + 1)
-
-    def test_caps_cut_starts_mid_iteration_like_scipy(self, monkeypatch):
-        calls = []
-
-        def recording(func, starts, **caps):
-            sim, fsim = lockstep(func, starts, **caps)
-            calls.append((func, starts, caps, sim, fsim))
-            return sim, fsim
-
-        lockstep = qudit._nelder_mead_lockstep
-        monkeypatch.setattr(qudit, "_nelder_mead_lockstep", recording)
-        cut = set()
-        # maxfev below the 4 initial evaluations and over the first
-        # iterations, at 47, 55, 64 and 78, where this search's start drops
-        # an expansion, and at 173..175, where it is inside a shrink (all
-        # found by recording); maxiter 1 runs no iteration.
-        fevs = [*range(3, 8), 47, 55, 64, 78, *range(173, 176)]
-        for maxiter, maxfev in [(4000, f) for f in fevs] + [(1, 8000), (6, 8000)]:
-            monkeypatch.setattr(qudit, "_NM_MAXITER", maxiter)
-            monkeypatch.setattr(qudit, "_NM_MAXFEV", maxfev)
-            optimize_phases(5, "t3")
-            func, starts, caps, sim, fsim = calls[-1]
-            assert (caps["maxiter"], caps["maxfev"]) == (maxiter, maxfev)
-            cut |= assert_lockstep_matches_scipy(
-                func, starts, sim, fsim, maxiter=maxiter, maxfev=maxfev
-            )
-        assert cut == {"expansion", "shrink"}
+    def test_no_search_returns_less_than_its_grid_start(self):
+        for kind, d in ALL_PRESETS:
+            _, grid_value = _grid_start(pair_function(kind, d)[0])
+            _, value = optimize_phases(d, kind)
+            assert value >= grid_value - 1e-12, (kind, d, value, grid_value)
 
     def test_qudit_search_leaves_scipy_optimize_unloaded(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(binned_bell.__file__)))
@@ -691,15 +583,15 @@ class TestLockstepNelderMead:
 
 
 # `scan-qudit --seed 3 --format csv` rows, one dimension per run, recorded
-# from the gauge-fixed grid search (beta1 is 0 by the gauge).  The rows of
-# the search it replaced are floors in PARENT_FLOORS.
+# from the Newton ascent from the gauge-fixed grid (beta1 is 0 by the gauge).
+# The values of the search the grid replaced are floors in PARENT_FLOORS.
 GOLDEN_SCAN_ROWS = {
-    ("t1", 5): "5,t1,2.6347618608215249,1.2368639202030982,0.7631361002804451,0,4.5262721390823515",
-    ("t1", 16): "16,t1,2.8284271247461894,9.750000003509566,0.250000005796846,0,0.50000000275668621",
-    ("t2", 5): "5,t2,2.3023289861005569,0.19179479047131381,4.8082051896011428,0,4.6164103825751797",
-    ("t2", 16): "16,t2,2.3776412907378814,2.8000000231714348,0.400000014731271,0,0.39999999614726034",
-    ("t3", 5): "5,t3,2.3023289861005578,4.1917948038364496,3.808205190191301,0,4.6164103788833879",
-    ("t3", 16): "16,t3,2.1071482976976075,8.8391582914871272,0.51747482563150693,0,0.32168343320177184",
+    ("t1", 5): "5,t1,2.6347618608215275,1.2368639217428501,0.76313607825714991,0,4.5262721565142998",
+    ("t1", 16): "16,t1,2.8284271247461903,9.75,0.24999999999999986,0,0.50000000000000033",
+    ("t2", 5): "5,t2,2.3023289861005578,0.19179481241901719,4.8082051875809828,0,4.6164103751619656",
+    ("t2", 16): "16,t2,2.3776412907378841,2.8000000000000003,0.40000000000000019,0,0.39999999999999991",
+    ("t3", 5): "5,t3,2.3023289861005587,4.1917948124190172,3.8082051875809833,0,4.6164103751619647",
+    ("t3", 16): "16,t3,2.1071482976976075,8.8391582781188376,0.5174748343565122,0,0.32168344376232538",
 }
 
 
