@@ -356,10 +356,14 @@ def _fourier_table(c: np.ndarray) -> np.ndarray:
 
 
 def _pair_derivatives(table: np.ndarray, t) -> np.ndarray:
-    """Rows [f(t), f'(t), f''(t)] at each offset sum t, from _fourier_table."""
+    """Rows [f(t), f'(t), f''(t)] at each offset sum t, from _fourier_table.
+
+    Each row is its own stacked (1, 2d) @ (2d, 3) matmul, so its bits do not
+    depend on the offset sums around it.
+    """
     d = len(table) // 2
     wt = np.outer(np.mod(t, d), 2.0 * np.pi * np.arange(d) / d)
-    return np.hstack([np.cos(wt), np.sin(wt)]) @ table
+    return (np.hstack([np.cos(wt), np.sin(wt)])[:, None, :] @ table)[:, 0, :]
 
 
 def _grid_start(objective: _KernelObjective) -> tuple[list[float], float]:

@@ -39,6 +39,7 @@ from binned_bell.cv import (
     tmss_tail_mass,
     violation_boundary_r,
 )
+from reference_nelder_mead import nelder_mead_lockstep
 
 # Frozen closed-form oracle: s=9, r=2 evaluates the explicit expression.
 S9_R2 = 4.0 * math.sqrt(2.0) * math.tanh(2.0) ** 5 / (1.0 + math.tanh(2.0) ** 10)
@@ -648,3 +649,22 @@ class TestNewtonSafeguards:
         values = {bw_displaced_parity_max(required_fock_cutoff(r), r, restarts=2, seed=seed,
                                           **kwargs) for seed in (0, 1, 12345)}
         assert len(values) == 1
+
+    @pytest.mark.parametrize("arrangement", sorted(ARRANGEMENTS))
+    def test_no_search_ends_below_the_reference_simplex(self, arrangement):
+        # The derivative-free reference from the search's first grid start,
+        # over all of the arrangement's real parameters.
+        kwargs = ARRANGEMENTS[arrangement][0]
+        anchor_zero = kwargs.get("anchor_zero", False)
+        is_complex = kwargs.get("complex_displacements", False)
+        for r in (0.0, 0.3, 0.8, 1.5, 2.0):
+            start = _grid_starts(r, anchor_zero, search_box(r), 1)
+            if is_complex:
+                start = np.insert(start, [1, 2, 3, 4], 0.0, axis=1)  # zero imaginary parts
+
+            def minus_bell(x):
+                return -_bell_value(r, _search_displacements(x, anchor_zero, is_complex))
+
+            _, fsim = nelder_mead_lockstep(minus_bell, start, maxiter=4000, maxfev=8000)
+            z = _best_displacements(r, anchor_zero, is_complex, 0)
+            assert float(_bell_value(r, z)) >= -fsim[0, 0] - 1e-14, (arrangement, r)

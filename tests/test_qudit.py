@@ -14,6 +14,7 @@ import pytest
 import binned_bell
 from binned_bell import cli, qudit
 from binned_bell._newton import newton_ascent
+from binned_bell.cv import _bell_value, _search_displacements
 from binned_bell.lr_polytope import BinningSpec, CoefficientTensor, _chsh_table, build_coefficients
 from binned_bell.qudit import (
     SQRT8,
@@ -34,6 +35,7 @@ from binned_bell.qudit import (
     optimize_phases,
     probability_kernel,
 )
+from reference_nelder_mead import nelder_mead_lockstep
 
 OPTIMAL_PHASES = PhaseSettings(0.0, 0.5, -0.25, 0.25)
 
@@ -474,6 +476,32 @@ class TestKernelObjective:
         assert np.array_equal(objective(points[:42]), reference[:42])
         assert np.array_equal(objective(points.reshape(20, 20, 4)), reference.reshape(20, 20))
 
+    @pytest.mark.parametrize("kind,d", [("t2", 8), ("t3", 5), ("t1", 7), ("t3", 14)])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_search_path_unchanged_by_fused_evaluation(self, monkeypatch, capsys, kind, d, seed):
+        # Through the CLI, whose --seed the search ignores: the per-pair
+        # route prints the row of the fused one for either seed.
+        argv = ["scan-qudit", "--binning", kind, "--dmin", str(d), "--dmax", str(d),
+                "--seed", str(seed), "--format", "csv"]
+        fused = optimize_phases(d, BinningPreset(kind, d))
+        assert cli.main(argv) == 0
+        fused_row = capsys.readouterr().out
+        # Each Newton step takes f, f' and f'' at the four offset sums from
+        # one _pair_derivatives call; one call per offset sum takes its place.
+        batches = []
+
+        def per_pair_route(table, t):
+            batches.append(np.shape(t))
+            return np.vstack([_pair_derivatives(table, [u]) for u in t])
+
+        monkeypatch.setattr(qudit, "_pair_derivatives", per_pair_route)
+        assert optimize_phases(d, BinningPreset(kind, d)) == fused
+        assert batches and set(batches) == {(4,)}
+        batches.clear()
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == fused_row
+        assert batches and set(batches) == {(4,)}
+
 
 ALL_PRESETS = [(kind, d) for kind in ("t1", "t2", "t3") for d in range(2, 33)
                if (kind, d) != ("t2", 2)]
@@ -483,6 +511,11 @@ def pair_function(kind: str, d: int) -> tuple[_KernelObjective, np.ndarray]:
     """A preset's kernel objective and the Fourier table of its one pair function f."""
     objective = _KernelObjective(build_coefficients(BinningPreset(kind, d).to_binning_spec()))
     return objective, _fourier_table(objective._c[0, 0])
+
+
+def gauge_fixed_objective(objective: _KernelObjective):
+    """Minus the Bell sum at (a1, a2, b2), the phases with beta1 = 0."""
+    return lambda x: -objective(np.insert(x, 2, 0.0, axis=-1))
 
 
 def central_differences(fgh, x: np.ndarray, h: float = 1e-5) -> tuple[np.ndarray, np.ndarray]:
@@ -566,6 +599,21 @@ class TestNewtonSearch:
             _, value = optimize_phases(d, kind)
             assert value >= grid_value - 1e-12, (kind, d, value, grid_value)
 
+    @pytest.mark.parametrize("kind", ["t1", "t2", "t3"])
+    def test_no_search_ends_below_the_reference_simplex(self, kind):
+        # The derivative-free reference from the same grid start, its best
+        # vertex re-evaluated by direct inner products as the search's is.
+        for d in range(3 if kind == "t2" else 2, 33):
+            coeffs = build_coefficients(BinningPreset(kind, d).to_binning_spec())
+            objective = _KernelObjective(coeffs)
+            start, _ = _grid_start(objective)
+            sim, _ = nelder_mead_lockstep(gauge_fixed_objective(objective), [start],
+                                          maxiter=4000, maxfev=8000)
+            a1, a2, b2 = sim[0, 0]
+            simplex = bell_expectation(d, coeffs, PhaseSettings(a1, a2, 0.0, b2).reduced(d),
+                                       method="direct")
+            assert optimize_phases(d, kind)[1] >= simplex - 1e-14, (kind, d)
+
     def test_qudit_search_leaves_scipy_optimize_unloaded(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(binned_bell.__file__)))
         env = dict(os.environ)
@@ -582,16 +630,182 @@ class TestNewtonSearch:
         assert out.strip() == "False"
 
 
+def scipy_nelder_mead(func, x0, *, maxiter=4000, maxfev=8000):
+    """One start of scipy's Nelder-Mead on func, with the reference's tolerances.
+
+    Returns the result and every value scipy evaluated.
+    """
+    from scipy.optimize import minimize
+
+    seen = []
+
+    def recorded(x):
+        seen.append(func(x))
+        return seen[-1]
+
+    res = minimize(
+        recorded,
+        x0,
+        method="Nelder-Mead",
+        options={"xatol": 1e-10, "fatol": 1e-10, "maxiter": maxiter, "maxfev": maxfev},
+    )
+    return res, seen
+
+
+def assert_lockstep_matches_scipy(func, starts, sim, fsim, **caps) -> set[str]:
+    """Compare each start's final simplex, x and fun with scipy's, by ==.
+
+    Returns how scipy's runs were cut mid-iteration: a dropped expansion
+    leaves an evaluated value below the returned one, and a partial shrink
+    leaves a moved vertex whose stored value is stale.
+    """
+    cut = set()
+    for x0, s, f in zip(starts, sim, fsim):
+        res, seen = scipy_nelder_mead(func, x0, **caps)
+        ref_sim, ref_fsim = res.final_simplex
+        assert np.array_equal(s, ref_sim) and np.array_equal(f, ref_fsim), caps
+        assert np.array_equal(s[0], res.x) and f.min() == res.fun, caps
+        if seen and min(seen) < res.fun:
+            cut.add("expansion")
+        if np.any(np.isfinite(f) & (func(s) != f)):
+            cut.add("shrink")
+    return cut
+
+
+def lockstep_starts(seed: int, n: int = 4) -> np.ndarray:
+    """A grid-like start with zero coordinates, then seeded random starts."""
+    rng = np.random.default_rng(seed)
+    return np.vstack([np.resize([0.0, 0.5, 1.25, 0.0], n), rng.uniform(0.0, 2.0, size=(4, n))])
+
+
+CV_SEARCHES = {"cv-free": (False, False, 4), "cv-anchored": (True, False, 2),
+               "cv-complex": (False, True, 8)}
+
+
+def search_objective(kind: str, d: int):
+    """A minimized objective of the searches and its number of parameters.
+
+    kind t1/t2/t3 is minus the Bell sum over the four phases at dimension d;
+    a cv-* kind is minus the closed-form displaced-parity Bell sum of that
+    arrangement at squeezing r = d / 10, over all of its real parameters.
+    """
+    if kind not in CV_SEARCHES:
+        objective = _KernelObjective(build_coefficients(BinningPreset(kind, d).to_binning_spec()))
+        return (lambda x: -objective(x)), 4
+    anchor_zero, complex_displacements, n = CV_SEARCHES[kind]
+    r = d / 10
+    return (
+        lambda x: -_bell_value(r, _search_displacements(x, anchor_zero, complex_displacements))
+    ), n
+
+
+class TestLockstepNelderMead:
+    @pytest.mark.parametrize(
+        "kind,d",
+        [("t1", 2), ("t3", 2)]
+        + [(k, d) for d in (5, 8, 32) for k in ("t1", "t2", "t3")]
+        + [(k, d) for d in (9, 14) for k in CV_SEARCHES],
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_every_start_matches_scipy_bit_for_bit(self, kind, d, seed):
+        func, n = search_objective(kind, d)
+        # Displacements near the optimum are well below 1 at these squeezings.
+        starts = lockstep_starts(seed, n) * (0.25 if kind in CV_SEARCHES else 1.0)
+        sim, fsim = nelder_mead_lockstep(func, starts, maxiter=4000, maxfev=8000)
+        assert_lockstep_matches_scipy(func, starts, sim, fsim)
+
+    @pytest.mark.parametrize(
+        "func",
+        [lambda x: np.zeros(np.shape(x)[:-1]), lambda x: np.floor(2 * x).sum(axis=-1)],
+        ids=["constant", "staircase"],
+    )
+    def test_ties_resolve_like_scipy(self, func):
+        # Equal values at every vertex: scipy's argsort (not a stable sort)
+        # orders the ties, and failed contractions shrink the simplex.
+        starts = lockstep_starts(5)
+        sim, fsim = nelder_mead_lockstep(func, starts, maxiter=4000, maxfev=8000)
+        assert_lockstep_matches_scipy(func, starts, sim, fsim)
+
+    def test_non_finite_values_resolve_like_scipy(self):
+        # A bowl with NaN and +inf on slabs the searches cross and -inf on a
+        # corner they fall into.  NaN fails every comparison, so it sorts
+        # last; on the plateau x3 > 1.6, NaN cells finer than the tolerance
+        # leave a NaN worst vertex when the rest of the simplex has
+        # converged, and the convergence test must not pass over it.  A -inf
+        # simplex never converges.
+        def func(x):
+            value = sum((x[..., k] - 0.7) ** 2 for k in range(4))
+            plateau = x[..., 3] > 1.6
+            value = np.where(plateau, -1.0, value)
+            value = np.where(plateau & (np.floor(x[..., 0] * 2.0**34) % 2 == 1), np.nan, value)
+            value = np.where((1.0 < x[..., 0]) & (x[..., 0] < 1.15), np.nan, value)
+            value = np.where((1.3 < x[..., 1]) & (x[..., 1] < 1.45), np.inf, value)
+            return np.where((x[..., 2] < 0.25) & (x[..., 3] < 0.25), -np.inf, value)
+
+        boundary = [[0.97, 0.7, 0.7, 0.7], [0.7, 1.25, 0.7, 0.7], [0.7, 0.7, 0.7, 1.8]]
+        starts = np.vstack([lockstep_starts(0), boundary])
+        caps = {"maxiter": 1000, "maxfev": 2000}
+        sim, fsim = nelder_mead_lockstep(func, starts, **caps)
+        seen_all, escaped = [], False
+        for x0, s, f in zip(starts, sim, fsim):
+            # scipy's convergence test subtracts inf from inf here.
+            with np.errstate(invalid="ignore"):
+                res, seen = scipy_nelder_mead(func, x0, **caps)
+            ref_sim, ref_fsim = res.final_simplex
+            assert np.array_equal(s, ref_sim) and np.array_equal(f, ref_fsim, equal_nan=True)
+            seen_all += seen
+            escaped |= not np.all(np.isfinite(seen)) and np.all(np.isfinite(f))
+        seen_all = np.array(seen_all)
+        assert np.isnan(seen_all).any() and np.isposinf(seen_all).any()
+        assert np.isneginf(seen_all).any() and escaped
+
+    @pytest.mark.parametrize("kind,d", [("t3", 5), ("cv-complex", 9)])
+    def test_func_gets_one_float64_batch_per_round(self, kind, d):
+        func, n = search_objective(kind, d)
+        batches = []
+
+        def recording(x):
+            batches.append(x)
+            return func(x)
+
+        starts = lockstep_starts(1, n) * (0.25 if kind in CV_SEARCHES else 1.0)
+        sim, fsim = nelder_mead_lockstep(recording, starts, maxiter=40, maxfev=80)
+        assert batches
+        for x in batches:
+            assert type(x) is np.ndarray and x.dtype == np.float64 and x.flags.c_contiguous
+            assert x.ndim == 2 and 1 <= len(x) <= len(starts) * (n + 1) and x.shape[1] == n
+        assert sim.dtype == fsim.dtype == np.float64
+        assert sim.shape == (len(starts), n + 1, n) and fsim.shape == (len(starts), n + 1)
+
+    def test_caps_cut_starts_mid_iteration_like_scipy(self):
+        # The phase objective of t3 at d = 5 in the gauge beta1 = 0, from the
+        # phase search's grid start.
+        objective = _KernelObjective(build_coefficients(BinningPreset("t3", 5).to_binning_spec()))
+        func = gauge_fixed_objective(objective)
+        starts = [_grid_start(objective)[0]]
+        cut = set()
+        # maxfev below the 4 initial evaluations and over the first
+        # iterations, at 47, 55, 64 and 78, where this start drops an
+        # expansion, and at 173..175, where it is inside a shrink (all found
+        # by recording); maxiter 1 runs no iteration.
+        fevs = [*range(3, 8), 47, 55, 64, 78, *range(173, 176)]
+        for maxiter, maxfev in [(4000, f) for f in fevs] + [(1, 8000), (6, 8000)]:
+            sim, fsim = nelder_mead_lockstep(func, starts, maxiter=maxiter, maxfev=maxfev)
+            cut |= assert_lockstep_matches_scipy(
+                func, starts, sim, fsim, maxiter=maxiter, maxfev=maxfev
+            )
+        assert cut == {"expansion", "shrink"}
+
 # `scan-qudit --seed 3 --format csv` rows, one dimension per run, recorded
 # from the Newton ascent from the gauge-fixed grid (beta1 is 0 by the gauge).
 # The values of the search the grid replaced are floors in PARENT_FLOORS.
 GOLDEN_SCAN_ROWS = {
-    ("t1", 5): "5,t1,2.6347618608215275,1.2368639217428501,0.76313607825714991,0,4.5262721565142998",
-    ("t1", 16): "16,t1,2.8284271247461903,9.75,0.24999999999999986,0,0.50000000000000033",
-    ("t2", 5): "5,t2,2.3023289861005578,0.19179481241901719,4.8082051875809828,0,4.6164103751619656",
-    ("t2", 16): "16,t2,2.3776412907378841,2.8000000000000003,0.40000000000000019,0,0.39999999999999991",
+    ("t1", 5): "5,t1,2.634761860821528,1.2368639217428501,0.76313607825715002,0,4.5262721565142998",
+    ("t1", 16): "16,t1,2.8284271247461898,9.75,0.24999999999999981,0,0.50000000000000033",
+    ("t2", 5): "5,t2,2.3023289861005578,0.19179481241901716,4.8082051875809828,0,4.6164103751619656",
+    ("t2", 16): "16,t2,2.3776412907378841,2.8000000000000003,0.40000000000000002,0,0.40000000000000002",
     ("t3", 5): "5,t3,2.3023289861005587,4.1917948124190172,3.8082051875809833,0,4.6164103751619647",
-    ("t3", 16): "16,t3,2.1071482976976075,8.8391582781188376,0.5174748343565122,0,0.32168344376232538",
+    ("t3", 16): "16,t3,2.1071482976976075,8.8391582781188376,0.5174748343565122,0,0.32168344376232544",
 }
 
 
