@@ -27,7 +27,6 @@ from .lr_polytope import (
 from .qudit import (
     BellOperatorMatrix,
     BinningPreset,
-    MeasurementBasis,
     PhaseSettings,
     bell_expectation,
     build_bell_operator,
@@ -66,7 +65,6 @@ __all__ = [
     "tightness_certificate",
     "BellOperatorMatrix",
     "BinningPreset",
-    "MeasurementBasis",
     "PhaseSettings",
     "bell_expectation",
     "build_bell_operator",

@@ -395,10 +395,12 @@ def _random_phases(rng: np.random.Generator) -> qudit.PhaseSettings:
 def _suite_normalization(rng, trials, mutate):
     for _ in range(trials):
         d = int(rng.integers(2, 11))
-        basis = qudit.MeasurementBasis.build(d, float(rng.uniform(-2, 2)))
-        if basis.gram_residual() > 1e-10:
-            yield "normalization", (f"basis d={d} offset={basis.offset!r} "
-                                    f"gram residual {basis.gram_residual():.3e}")
+        offset = float(rng.uniform(-2, 2))
+        u = qudit.fourier_basis(d, offset)
+        gram_residual = float(np.abs(u.conj().T @ u - np.eye(d)).max())
+        if gram_residual > 1e-10:
+            yield "normalization", (f"basis d={d} offset={offset!r} "
+                                    f"gram residual {gram_residual:.3e}")
         s = int(rng.integers(0, 50)) * 2 + 1
         r = float(rng.uniform(0.01, 10.0))
         state = cv.TruncatedTmss.build(s, r)
@@ -407,38 +409,68 @@ def _suite_normalization(rng, trials, mutate):
                                     f"normalization error {state.normalization_error():.3e}")
 
 
-def _suite_coefficients(spec: lr.BinningSpec, mutate: bool) -> lr.CoefficientTensor:
-    """The spec's coefficient tensor; mutate flips the sign of its (2,2) block."""
-    coeffs = lr.build_coefficients(spec)
-    if not mutate:
-        return coeffs
-    eps = coeffs.eps.copy()
-    eps[1, 1] = -eps[1, 1]
-    return lr.CoefficientTensor(d=spec.d, eps=eps)
+# A suite stacks its trials of one d into chunks of at most
+# max(1, _CHUNK_ENTRIES // d**4) trials, so a chunk's d^2 x d^2 arrays stay
+# small and peak memory does not grow with the trial count.
+_CHUNK_ENTRIES = 5000
+
+
+def _chunks(dims: list[int]):
+    """(d, trial indices) for the trials of each d, cut into chunks."""
+    by_d: dict[int, list[int]] = {}
+    for i, d in enumerate(dims):
+        by_d.setdefault(d, []).append(i)
+    for d, indices in by_d.items():
+        size = max(1, _CHUNK_ENTRIES // d**4)
+        for start in range(0, len(indices), size):
+            yield d, indices[start:start + size]
 
 
 def _suite_operator(rng, trials, mutate):
-    """operator-identity and norm-bound, both on each trial's one operator."""
+    """operator-identity and norm-bound, both on each trial's one operator.
+
+    All trials are drawn first, in the order of a trial-by-trial loop; each
+    chunk builds its bases once and passes them to both kernels, and the
+    counterexamples come out in trial order.  mutate flips the sign of the
+    coefficients' (2,2) block.
+    """
+    draws = []
     for _ in range(trials):
         d = int(rng.integers(2, 11))
-        spec = _random_spec(rng, d)
-        phases = _random_phases(rng)
-        operator = qudit.build_bell_operator(d, _suite_coefficients(spec, mutate), phases)
-        residual = qudit.operator_identity_residual(operator, spec, phases)
+        draws.append((_random_spec(rng, d), _random_phases(rng)))
+    residuals = np.empty(trials)
+    norms = np.empty(trials)
+    for d, chunk in _chunks([spec.d for spec, _ in draws]):
+        signs = lr._binning_signs([draws[i][0] for i in chunk])
+        eps = lr._product_coefficients(signs)
+        if mutate:
+            eps[:, 1, 1] *= -1
+        bases = qudit.fourier_basis(d, np.array([draws[i][1].as_array() for i in chunk]))
+        operators = qudit._bell_operators(eps, bases)
+        residuals[chunk] = qudit._identity_residuals(operators, bases, signs)
+        norms[chunk] = qudit._spectral_norms(operators)
+    for (spec, phases), residual, norm in zip(draws, residuals.tolist(), norms.tolist()):
+        d = spec.d
         if residual > 1e-9:
             yield "operator-identity", (f"identity d={d} spec={spec} phases={phases} "
                                         f"residual {residual:.3e}")
-        norm = operator.spectral_norm()
         if norm > qudit.SQRT8 + 1e-9:
             yield "norm-bound", f"norm d={d} spec={spec} phases={phases} norm {norm!r}"
 
 
 def _suite_m_formula(rng, trials, mutate):
+    """Each trial's maximizer count against m_formula and the facet threshold,
+    counted chunk by chunk as in _suite_operator."""
+    specs = []
     for _ in range(trials):
         d = int(rng.integers(2, 9))
-        spec = _random_spec(rng, d)
-        coeffs = lr.build_coefficients(spec)
-        counted = lr.count_max_configs(coeffs)
+        specs.append(_random_spec(rng, d))
+    counts = np.empty(trials, dtype=np.int64)
+    for _, chunk in _chunks([spec.d for spec in specs]):
+        counts[chunk] = lr._max_config_counts(
+            lr._product_coefficients(lr._binning_signs([specs[i] for i in chunk])))
+    for spec, counted in zip(specs, counts.tolist()):
+        d = spec.d
         formula = lr.m_formula(spec)
         if counted != formula:
             yield "m-formula", f"M d={d} spec={spec} counted {counted} formula {formula}"

@@ -141,18 +141,28 @@ class CoefficientTensor:
         object.__setattr__(self, "eps", eps)
 
 
+def _binning_signs(specs: list[BinningSpec]) -> np.ndarray:
+    """zeta of (R1, R2, S1, S2) for each spec of one d, shape (len(specs), 4, d)."""
+    subsets = [subset for spec in specs for subset in (spec.r1, spec.r2, spec.s1, spec.s2)]
+    signs = -np.ones((len(subsets), specs[0].d), dtype=np.int8)
+    signs[[row for row, subset in enumerate(subsets) for _ in subset],
+          [k for subset in subsets for k in subset]] = 1
+    return signs.reshape(len(specs), 4, -1)
+
+
+def _product_coefficients(signs: np.ndarray) -> np.ndarray:
+    """eps[..., a, b, k, l] = zeta_{R_a}(k) zeta_{S_b}(l), the (2,2) block negated.
+
+    signs[..., 4, d] holds the zeta vectors of R1, R2, S1 and S2.
+    """
+    eps = signs[..., :2, None, :, None] * signs[..., None, 2:, None, :]
+    eps[..., 1, 1, :, :] *= -1
+    return eps
+
+
 def build_coefficients(spec: BinningSpec) -> CoefficientTensor:
     """Product-form coefficient tensor with the sign of the (2,2) block flipped."""
-    za1 = zeta(spec.r1, spec.d)
-    za2 = zeta(spec.r2, spec.d)
-    zb1 = zeta(spec.s1, spec.d)
-    zb2 = zeta(spec.s2, spec.d)
-    eps = np.empty((2, 2, spec.d, spec.d), dtype=np.int8)
-    eps[0, 0] = np.outer(za1, zb1)
-    eps[0, 1] = np.outer(za1, zb2)
-    eps[1, 0] = np.outer(za2, zb1)
-    eps[1, 1] = -np.outer(za2, zb2)
-    return CoefficientTensor(spec.d, eps)
+    return CoefficientTensor(spec.d, _product_coefficients(_binning_signs([spec])[0]))
 
 
 def _chsh_table(f11: np.ndarray, f12: np.ndarray, f21: np.ndarray, f22: np.ndarray) -> np.ndarray:
@@ -161,35 +171,46 @@ def _chsh_table(f11: np.ndarray, f12: np.ndarray, f21: np.ndarray, f22: np.ndarr
     The one layout of the Bell sum over a product of settings: deterministic
     outcomes here, phase or displacement grids in the quantum searches.  The
     terms are added in this order, so a table's entries are the bits of the
-    four-term sum at each point.
+    four-term sum at each point.  Leading axes (...) of the four inputs
+    index separate tables, T[..., x1, x2, y1, y2].
     """
     return (
-        f11[:, None, :, None]
-        + f12[:, None, None, :]
-        + f21[None, :, :, None]
-        + f22[None, :, None, :]
+        f11[..., :, None, :, None]
+        + f12[..., :, None, None, :]
+        + f21[..., None, :, :, None]
+        + f22[..., None, :, None, :]
     )
 
 
-def _all_values(coeffs: CoefficientTensor) -> np.ndarray:
-    """All d^4 deterministic values, indexed [k1, k2, l1, l2]."""
-    e = coeffs.eps.astype(np.int16)
-    return _chsh_table(e[0, 0], e[0, 1], e[1, 0], e[1, 1])
+def _all_values(eps: np.ndarray) -> np.ndarray:
+    """All d^4 deterministic values of eps[..., 2, 2, d, d], indexed [..., k1, k2, l1, l2]."""
+    e = eps.astype(np.int16)
+    return _chsh_table(e[..., 0, 0, :, :], e[..., 0, 1, :, :],
+                       e[..., 1, 0, :, :], e[..., 1, 1, :, :])
 
 
 def lr_max(coeffs: CoefficientTensor, *, limit: int = DEFAULT_ENUMERATION_LIMIT) -> float:
     """Exact LR bound: maximum deterministic value over all d^4 assignments."""
     _check_limit(coeffs.d, limit)
-    return float(_all_values(coeffs).max())
+    return float(_all_values(coeffs.eps).max())
 
 
 def count_max_configs(
     coeffs: CoefficientTensor, *, limit: int = DEFAULT_ENUMERATION_LIMIT
 ) -> int:
-    """Number of deterministic assignments attaining lr_max (exact count)."""
+    """Number of deterministic assignments attaining lr_max (exact count).
+
+    The one-tensor case of _max_config_counts.
+    """
     _check_limit(coeffs.d, limit)
-    values = _all_values(coeffs)
-    return int((values == values.max()).sum())
+    return int(_max_config_counts(coeffs.eps))
+
+
+def _max_config_counts(eps: np.ndarray) -> np.ndarray:
+    """Maximizer count of each coefficient tensor eps[..., 2, 2, d, d]."""
+    values = _all_values(eps)
+    axes = (-4, -3, -2, -1)
+    return (values == values.max(axis=axes, keepdims=True)).sum(axis=axes)
 
 
 def m_formula(spec: BinningSpec) -> int:
@@ -383,7 +404,7 @@ def tightness_certificate(
     """
     _check_limit(spec.d, limit)
     d = spec.d
-    values = _all_values(build_coefficients(spec))
+    values = _all_values(build_coefficients(spec).eps)
     top = values.max()
     configs = np.argwhere(values == top)
     m_counted = int(configs.shape[0])

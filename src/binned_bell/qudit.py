@@ -33,14 +33,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Iterable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._newton import newton_ascent
-from .lr_polytope import BinningSpec, CoefficientTensor, build_coefficients, zeta
+from .lr_polytope import BinningSpec, CoefficientTensor, _binning_signs, build_coefficients, zeta
 
 # Largest d whose dense d^2 x d^2 Bell operator build_bell_operator builds.
 _OPERATOR_LIMIT = 64
@@ -79,44 +79,17 @@ class PhaseSettings:
         return PhaseSettings(*(float(v) for v in folded))
 
 
-def fourier_basis(d: int, offset: float) -> np.ndarray:
-    """Columns are the basis vectors |k> of the offset Fourier basis."""
+def fourier_basis(d: int, offset) -> np.ndarray:
+    """Columns are the basis vectors |k> of the offset Fourier basis.
+
+    An array of offsets gives one basis per offset, shape offset.shape +
+    (d, d), from one broadcast exp; every step is elementwise, so each
+    basis has the bits of its own call.
+    """
     j = np.arange(d)
     k = np.arange(d)
-    return np.exp(2j * np.pi * np.outer(j, k + offset) / d) / math.sqrt(d)
-
-
-@lru_cache(maxsize=4)
-def _shared_basis(d: int, offset: float) -> np.ndarray:
-    """Read-only fourier_basis(d, offset), kept for the last four offsets.
-
-    A certify trial builds its Bell operator and then its binned observables
-    at the same four offsets; both read their bases from here, so each basis
-    is computed once per trial.
-    """
-    u = fourier_basis(d, offset)
-    u.setflags(write=False)
-    return u
-
-
-@dataclass(frozen=True)
-class MeasurementBasis:
-    """Phase-shifted Fourier basis; vectors[:, k] is the k-th outcome vector."""
-
-    d: int
-    offset: float
-    vectors: np.ndarray
-
-    @classmethod
-    def build(cls, d: int, offset: float) -> "MeasurementBasis":
-        if d < 2:
-            raise ValueError(f"d must be at least 2, got {d}")
-        return cls(d, float(offset), fourier_basis(d, offset))
-
-    def gram_residual(self) -> float:
-        """Max deviation of the Gram matrix from the identity."""
-        g = self.vectors.conj().T @ self.vectors
-        return float(np.abs(g - np.eye(self.d)).max())
+    phase = j[:, None] * (k + np.asarray(offset, dtype=float)[..., None])[..., None, :]
+    return np.exp(2j * np.pi * phase / d) / math.sqrt(d)
 
 
 def _probability_matrix(d: int, alpha: float, beta: float) -> np.ndarray:
@@ -216,7 +189,7 @@ class BellOperatorMatrix:
     matrix: np.ndarray
 
     def spectral_norm(self) -> float:
-        return float(np.abs(np.linalg.eigvalsh(self.matrix)).max())
+        return float(_spectral_norms(self.matrix))
 
 
 def build_bell_operator(
@@ -226,9 +199,8 @@ def build_bell_operator(
 ) -> BellOperatorMatrix:
     """Dense d^2 x d^2 Bell operator for the given coefficients and phases.
 
-    Each party's two projector tensors are built once; every setting pair
-    (a, b) then contracts its coefficient block between them.  d above
-    _OPERATOR_LIMIT (64) raises ValueError before anything is built.
+    The one-operator case of _bell_operators.  d above _OPERATOR_LIMIT (64)
+    raises ValueError before anything is built.
     """
     if coeffs.d != d:
         raise ValueError(f"coefficient tensor has d={coeffs.d}, expected {d}")
@@ -237,31 +209,12 @@ def build_bell_operator(
             f"d={d} exceeds the dense-operator limit {_OPERATOR_LIMIT} "
             f"(matrix would be {d * d} x {d * d})"
         )
-
-    def projectors(offset: float) -> np.ndarray:
-        u = _shared_basis(d, offset)
-        # row (i j), column k: <i| (|k><k|) |j>
-        return np.einsum("ik,jk->ijk", u, u.conj()).reshape(d * d, d)
-
-    proj_a = (projectors(phases.alpha1), projectors(phases.alpha2))
-    proj_b = (projectors(phases.beta1), projectors(phases.beta2))
-    total = np.zeros((d * d, d * d), dtype=complex)
-    for a in (0, 1):
-        for b in (0, 1):
-            weighted = proj_a[a] @ coeffs.eps[a, b].astype(float)
-            block = weighted @ proj_b[b].T
-            # reorder (i j)(m n) -> (i m)(j n) for the kron layout
-            total += (
-                block.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-            )
-    return BellOperatorMatrix(d, total)
+    return BellOperatorMatrix(d, _bell_operators(coeffs.eps, fourier_basis(d, phases.as_array())))
 
 
 def binned_observable(d: int, offset: float, subset: Iterable[int]) -> np.ndarray:
     """±1 observable sum_k zeta(k) |k><k| in the offset Fourier basis."""
-    u = _shared_basis(d, offset)
-    z = zeta(subset, d).astype(float)
-    return (u * z) @ u.conj().T
+    return _binned_observables(fourier_basis(d, offset), zeta(subset, d))
 
 
 def operator_identity_residual(
@@ -273,21 +226,80 @@ def operator_identity_residual(
     the residual is at rounding level when `operator` was built from the
     spec's coefficients at those phases.  An operator built from another
     tensor (for example with the (2,2) block's sign flipped) shows how the
-    identity breaks when the sign convention is violated.
+    identity breaks when the sign convention is violated.  The
+    one-operator case of _identity_residuals.
     """
     d = spec.d
     if operator.d != d:
         raise ValueError(f"operator has d={operator.d}, spec has d={d}")
-    p1 = binned_observable(d, phases.alpha1, spec.r1)
-    p2 = binned_observable(d, phases.alpha2, spec.r2)
-    q1 = binned_observable(d, phases.beta1, spec.s1)
-    q2 = binned_observable(d, phases.beta2, spec.s2)
-    comm_p = p1 @ p2 - p2 @ p1
-    comm_q = q2 @ q1 - q1 @ q2
-    target = 4 * np.eye(d * d) + np.kron(comm_p, comm_q)
-    return float(np.abs(operator.matrix @ operator.matrix - target).max())
+    bases = fourier_basis(d, phases.as_array())
+    return float(_identity_residuals(operator.matrix, bases, _binning_signs([spec])[0]))
 
 
+# The operator kernels below take any leading axes (...): a stack of trials
+# of one d is one call, and a single trial is the case of no leading axes.
+# Every matmul is a stacked matmul, which runs each matrix through its own
+# BLAS call, and every other step is elementwise, so a trial's matrix,
+# residual and norm have the same bits whatever stack it is in.
+
+
+def _bell_operators(eps: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """Dense Bell operators from eps[..., a, b, k, l] and bases[..., 4, d, d].
+
+    bases holds the Fourier bases at (alpha1, alpha2, beta1, beta2).  Each
+    party's projector tensors come from one einsum; every setting pair
+    (a, b) contracts its coefficient block between them, and the four
+    blocks are added onto zeros in the order 11, 12, 21, 22, and the sum
+    is reordered once from (i j)(m n) to the kron layout (i m)(j n).
+    """
+    d = bases.shape[-1]
+    lead = bases.shape[:-3]
+    # row (i j), column k: <i| (|k><k|) |j>
+    proj = np.einsum("...ik,...jk->...ijk", bases, bases.conj()).reshape(lead + (4, d * d, d))
+    weighted = proj[..., :2, None, :, :] @ eps.astype(complex)
+    proj_b = proj[..., 2:, :, :].swapaxes(-1, -2)
+    total = np.zeros(lead + (d * d, d * d), dtype=complex)
+    block = np.empty_like(total)
+    for a in (0, 1):
+        for b in (0, 1):
+            np.matmul(weighted[..., a, b, :, :], proj_b[..., b, :, :], out=block)
+            total += block
+    # The last block's buffer receives the reordered sum.
+    np.copyto(block.reshape(lead + (d, d, d, d)),
+              total.reshape(lead + (d, d, d, d)).swapaxes(-3, -2))
+    return block
+
+
+def _binned_observables(bases: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """sum_k signs[..., k] |k><k| in each basis of bases[..., d, d]."""
+    return (bases * signs[..., None, :]) @ bases.conj().swapaxes(-1, -2)
+
+
+def _identity_residuals(
+    operators: np.ndarray, bases: np.ndarray, signs: np.ndarray
+) -> np.ndarray:
+    """Max |B^2 - 4*I - [P1, P2] (x) [Q2, Q1]| of each operator.
+
+    bases[..., 4, d, d] and signs[..., 4, d] give P1, P2, Q1, Q2.  The
+    Kronecker product is a broadcast product with np.kron's layout, and 4*I
+    is added to its diagonal in place.
+    """
+    d = bases.shape[-1]
+    obs = _binned_observables(bases, signs)
+    # P1 P2, P2 P1, Q2 Q1, Q1 Q2 in one stacked matmul.
+    products = obs[..., [0, 1, 3, 2], :, :] @ obs[..., [1, 0, 2, 3], :, :]
+    comm = products[..., ::2, :, :] - products[..., 1::2, :, :]
+    target = comm[..., 0, :, None, :, None] * comm[..., 1, None, :, None, :]
+    target = target.reshape(target.shape[:-4] + (d * d * d * d,))
+    target[..., :: d * d + 1] += 4
+    residual = operators @ operators
+    residual -= target.reshape(residual.shape)
+    return np.abs(residual).max(axis=(-2, -1))
+
+
+def _spectral_norms(operators: np.ndarray) -> np.ndarray:
+    """Largest |eigenvalue| of each Hermitian operator, from one eigvalsh call."""
+    return np.abs(np.linalg.eigvalsh(operators)).max(axis=-1)
 
 
 class _KernelObjective:

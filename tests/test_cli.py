@@ -195,10 +195,15 @@ class TestCertify:
             assert len(calls) == expected
 
     @pytest.mark.parametrize("flags", [("--trials", "12", "--seed", "3"),
-                                       ("--trials", "12", "--mutate-eps22", "--seed", "0")])
+                                       ("--trials", "12", "--mutate-eps22", "--seed", "0"),
+                                       ("--trials", "100", "--mutate-eps22", "--seed", "2")])
     def test_shared_operator_loop_matches_separate_suites(self, capsys, flags):
         """The operator-identity and norm-bound lines equal those of two
-        separate loops, each with its own generator and operator builds."""
+        separate loops, each with its own generator and operator builds.
+
+        The suite's full counterexample lists are compared too, so at 100
+        trials the norm reprs of every d and every chunk size are checked,
+        not only the five printed per suite."""
         trials = int(flags[1])
         seed = int(flags[-1])
         mutate = "--mutate-eps22" in flags
@@ -252,8 +257,11 @@ class TestCertify:
         code, out, _ = run(capsys, "certify", *flags)
         assert out == "\n".join(lines) + "\n"
         assert code == (1 if failures else 0)
-        # Only the mutation breaks the operator facts; at 12 trials it breaks
-        # the identity on every draw and the listing is cut after five.
+        shared = list(cli._suite_operator(np.random.default_rng(seed), trials, mutate))
+        assert [c for name, c in shared if name == "operator-identity"] == identity
+        assert [c for name, c in shared if name == "norm-bound"] == norm_bound
+        # Only the mutation breaks the operator facts; it breaks the identity
+        # on every draw and the listing is cut after five.
         assert (len(identity), bool(norm_bound)) == ((trials, True) if mutate else (0, False))
 
 

@@ -47,7 +47,7 @@ def random_spec(rng: np.random.Generator, d: int, min_size: int = 1) -> BinningS
 
 
 def maximizers(spec: BinningSpec) -> np.ndarray:
-    values = _all_values(build_coefficients(spec))
+    values = _all_values(build_coefficients(spec).eps)
     return np.argwhere(values == values.max())
 
 
@@ -135,7 +135,7 @@ class TestDeterministicValues:
         without that flip would miss.
         """
         coeffs = build_coefficients(T1(2))
-        values = _all_values(coeffs)
+        values = _all_values(coeffs.eps)
         for cfg in itertools.product(range(2), repeat=4):
             assert values[cfg] == deterministic_value(coeffs.eps, cfg)
         assert set(values.ravel().tolist()) == {-2, 2}

@@ -12,10 +12,16 @@ import numpy as np
 import pytest
 
 import binned_bell
-from binned_bell import cli, qudit
+from binned_bell import cli, lr_polytope, qudit
 from binned_bell._newton import newton_ascent
 from binned_bell.cv import _bell_value, _search_displacements
-from binned_bell.lr_polytope import BinningSpec, CoefficientTensor, _chsh_table, build_coefficients
+from binned_bell.lr_polytope import (
+    BinningSpec,
+    CoefficientTensor,
+    _chsh_table,
+    build_coefficients,
+    count_max_configs,
+)
 from binned_bell.qudit import (
     SQRT8,
     BinningPreset,
@@ -25,7 +31,6 @@ from binned_bell.qudit import (
     _pair_derivatives,
     _phase_derivatives,
     _probability_matrix,
-    MeasurementBasis,
     PhaseSettings,
     bell_expectation,
     binned_observable,
@@ -119,8 +124,8 @@ class TestBases:
     def test_columns_orthonormal(self, d):
         rng = np.random.default_rng(d)
         for _ in range(5):
-            basis = MeasurementBasis.build(d, float(rng.uniform(-3, 3)))
-            assert basis.gram_residual() < 1e-12
+            u = fourier_basis(d, float(rng.uniform(-3, 3)))
+            assert np.abs(u.conj().T @ u - np.eye(d)).max() < 1e-12
 
     def test_zero_offset_is_plain_fourier(self):
         u = fourier_basis(3, 0.0)
@@ -308,30 +313,80 @@ class TestOperatorIdentity:
         residual = operator_identity_residual(operator, spec, OPTIMAL_PHASES)
         assert residual > 0.1
 
-    def test_trial_builds_each_basis_once(self, monkeypatch):
-        # The operator and the residual's observables read the same four
-        # bases; a residual from freshly built bases has the same bits.
+    def test_chunk_builds_its_bases_in_one_call(self, monkeypatch):
+        # The operator and the residual's observables read the same bases.
         calls = []
 
         def counted(d, offset):
-            calls.append((d, offset))
+            calls.append(np.shape(offset))
             return fourier_basis(d, offset)
 
         monkeypatch.setattr(qudit, "fourier_basis", counted)
-        qudit._shared_basis.cache_clear()
-        rng = np.random.default_rng(41)
-        for _ in range(6):
-            d = int(rng.integers(2, 9))
-            spec = random_preset_free_spec(rng, d)
-            phases = random_phases(rng)
-            calls.clear()
-            operator = build_bell_operator(d, build_coefficients(spec), phases)
-            residual = operator_identity_residual(operator, spec, phases)
-            assert len(calls) == 4
-            qudit._shared_basis.cache_clear()
-            assert operator_identity_residual(operator, spec, phases) == residual
-        with pytest.raises(ValueError, match="read-only"):
-            qudit._shared_basis(3, 0.25)[0, 0] = 0.0
+        chunks = list(cli._chunks([d for d, _, _ in certify_operator_draws(0, 40)]))
+        assert list(cli._suite_operator(np.random.default_rng(0), 40, False)) == []
+        assert calls == [(len(chunk), 4) for _, chunk in chunks]
+        assert max(len(chunk) for _, chunk in chunks) > 1
+
+
+def certify_operator_draws(seed: int, trials: int) -> list:
+    """(d, spec, phases) of each operator-suite trial of certify --seed --trials."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(trials):
+        d = int(rng.integers(2, 11))
+        draws.append((d, cli._random_spec(rng, d), cli._random_phases(rng)))
+    return draws
+
+
+class TestStackedKernels:
+    """Stacked kernels against the one-trial public functions, under ==.
+
+    The draws are those of certify --trials 100 at seeds 0-3: every d in
+    2..10 for the operator suite and 2..8 for the m-formula suite, in the
+    chunks certify stacks them in, some of them split (d = 6 and 7).
+    """
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_operator_chunks_equal_one_trial_functions(self, seed):
+        draws = certify_operator_draws(seed, 100)
+        chunks = list(cli._chunks([d for d, _, _ in draws]))
+        assert {d for d, _ in chunks} == set(range(2, 11))
+        assert all(sum(c == d for c, _ in chunks) > 1 for d in (6, 7))
+        for mutate in (False, True):
+            for d, chunk in chunks:
+                specs = [draws[i][1] for i in chunk]
+                signs = lr_polytope._binning_signs(specs)
+                eps = lr_polytope._product_coefficients(signs)
+                if mutate:
+                    eps[:, 1, 1] *= -1
+                bases = fourier_basis(d, np.array([draws[i][2].as_array() for i in chunk]))
+                operators = qudit._bell_operators(eps, bases)
+                residuals = qudit._identity_residuals(operators, bases, signs)
+                norms = qudit._spectral_norms(operators)
+                for j, i in enumerate(chunk):
+                    _, spec, phases = draws[i]
+                    expected = build_coefficients(spec).eps.copy()
+                    if mutate:
+                        expected[1, 1] = -expected[1, 1]
+                    assert np.array_equal(eps[j], expected)
+                    operator = build_bell_operator(d, CoefficientTensor(d, expected), phases)
+                    assert np.array_equal(operator.matrix, operators[j])
+                    assert operator_identity_residual(operator, spec, phases) == residuals[j]
+                    assert operator.spectral_norm() == norms[j]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_count_chunks_equal_one_trial_counts(self, seed):
+        rng = np.random.default_rng(seed)
+        specs = []
+        for _ in range(100):
+            specs.append(cli._random_spec(rng, int(rng.integers(2, 9))))
+        chunks = list(cli._chunks([spec.d for spec in specs]))
+        assert {d for d, _ in chunks} == set(range(2, 9))
+        for _, chunk in chunks:
+            group = [specs[i] for i in chunk]
+            counts = lr_polytope._max_config_counts(
+                lr_polytope._product_coefficients(lr_polytope._binning_signs(group)))
+            assert counts.tolist() == [count_max_configs(build_coefficients(s)) for s in group]
 
 
 class TestPresets:
