@@ -39,9 +39,10 @@ scaled two-mode Wigner function (Banaszek and Wodkiewicz, PRA 58, 4345
 
 with a plus sign on the last term in this convention; the other sign
 misses the truncated reference by about 1.1 at the search optima of
-r = 0.8-2.0.  The searches run Newton ascents on this closed form and its
-exact derivatives, for real and complex displacements alike, and never
-build a matrix.  The independent
+r = 0.8-2.0.  The search runs Newton ascents on this closed form and its
+exact derivatives over real displacements, and never builds a matrix; a
+complex search from its starts stays on the real slice, so complex
+displacements select the same search.  The independent
 reference that re-checks each returned optimum (displaced_parity_matrix,
 bw_bell_value) exponentiates the truncated generator instead, through one
 real tridiagonal eigendecomposition per Bell value.
@@ -122,6 +123,20 @@ def _as_odd_cutoff(s: int) -> int:
     return s
 
 
+def _as_squeezing(r: float) -> float:
+    r = float(r)
+    if not math.isfinite(r) or r < 0.0:
+        raise ValueError(f"squeezing r must be finite and >= 0, got {r}")
+    return r
+
+
+def _as_fock_cutoff(cutoff_fock: int) -> int:
+    cutoff_fock = operator.index(cutoff_fock)
+    if cutoff_fock < 1:
+        raise ValueError(f"Fock cutoff must be >= 1, got {cutoff_fock}")
+    return cutoff_fock
+
+
 def _as_positive_float(value: float, name: str) -> float:
     value = float(value)
     if not math.isfinite(value) or value <= 0.0:
@@ -160,9 +175,7 @@ class TruncatedTmss:
     @classmethod
     def build(cls, s: int, r: float) -> "TruncatedTmss":
         s = _as_odd_cutoff(s)
-        r = float(r)
-        if not math.isfinite(r) or r < 0.0:
-            raise ValueError(f"squeezing r must be finite and >= 0, got {r}")
+        r = _as_squeezing(r)
         t = math.tanh(r)
         norm = math.sqrt(sum(t ** (2 * n) for n in range(s + 1)))
         amplitudes = np.array([t**n / norm for n in range(s + 1)])
@@ -319,9 +332,7 @@ def tmss_tail_mass(cutoff_fock: int, r: float) -> float:
     cutoff_fock = operator.index(cutoff_fock)
     if cutoff_fock < 0:
         raise ValueError(f"Fock cutoff must be >= 0, got {cutoff_fock}")
-    r = float(r)
-    if not math.isfinite(r) or r < 0.0:
-        raise ValueError(f"squeezing r must be finite and >= 0, got {r}")
+    r = _as_squeezing(r)
     return math.tanh(r) ** (2 * (cutoff_fock + 1))
 
 
@@ -334,9 +345,7 @@ def required_fock_cutoff(r: float) -> int:
     about 5 s and up to 0.4 GB on one CPU core with single-threaded BLAS, and
     r = 5 already asks for 126,794.
     """
-    r = float(r)
-    if not math.isfinite(r) or r < 0.0:
-        raise ValueError(f"squeezing r must be finite and >= 0, got {r}")
+    r = _as_squeezing(r)
     t = math.tanh(r)
     if t == 0.0:
         return 0
@@ -355,9 +364,7 @@ def required_fock_cutoff(r: float) -> int:
 
 
 def _check_fock_cutoff(cutoff_fock: int, r: float) -> int:
-    cutoff_fock = operator.index(cutoff_fock)
-    if cutoff_fock < 1:
-        raise ValueError(f"Fock cutoff must be >= 1, got {cutoff_fock}")
+    cutoff_fock = _as_fock_cutoff(cutoff_fock)
     if tmss_tail_mass(cutoff_fock, r) >= DEFAULT_TAIL_MASS:
         raise FockCutoffError(
             f"Fock cutoff {cutoff_fock} leaves tail mass "
@@ -438,10 +445,7 @@ def displaced_parity_matrix(cutoff_fock: int, alpha: complex) -> np.ndarray:
     reference route, independent of the closed form the searches use.  Real
     alpha (no imaginary part) gives a float64 matrix, any other a complex one.
     """
-    cutoff_fock = operator.index(cutoff_fock)
-    if cutoff_fock < 1:
-        raise ValueError(f"Fock cutoff must be >= 1, got {cutoff_fock}")
-    return _displaced_parity(*_displacement_spectrum(cutoff_fock + 1), alpha)
+    return _displaced_parity(*_displacement_spectrum(_as_fock_cutoff(cutoff_fock) + 1), alpha)
 
 
 def _parity_correlation(r: float, alpha, beta):
@@ -517,38 +521,18 @@ _TERM_SIGNS = np.array([1.0, 1.0, 1.0, -1.0])
 
 
 def _exponent_forms(r: float) -> np.ndarray:
-    """Q (4, 8, 8) with E(alpha_a, beta_b) = exp(v^T Q[ab] v / 2) for term ab.
+    """Q (4, 4, 4) with E(alpha_a, beta_b) = exp(z^T Q[ab] z / 2) for term ab.
 
-    v = (Re alpha, Im alpha, Re alpha', Im alpha', Re beta, Im beta,
-    Re beta', Im beta').  With alpha = x + iy and beta = u + iw the exponent
-    is -2c(x^2 + y^2 + u^2 + w^2) + 4s(xu - yw), c = cosh 2r, s = sinh 2r.
+    z = (alpha, alpha', beta, beta') is real, and the exponent of
+    E(alpha, beta) is -2c(alpha^2 + beta^2) + 4s alpha beta, c = cosh 2r,
+    s = sinh 2r.
     """
     c, s = math.cosh(2.0 * r), math.sinh(2.0 * r)
-    q = np.zeros((4, 8, 8))
+    q = np.zeros((4, 4, 4))
     for k, (a, b) in enumerate(_TERMS):
-        for part, coupling in ((0, 4.0 * s), (1, -4.0 * s)):
-            i, j = 2 * a + part, 2 * b + part
-            q[k, i, i] = q[k, j, j] = -4.0 * c
-            q[k, i, j] = q[k, j, i] = coupling
+        q[k, a, a] = q[k, b, b] = -4.0 * c
+        q[k, a, b] = q[k, b, a] = 4.0 * s
     return q
-
-
-def _search_displacements(params: np.ndarray, anchor_zero: bool, is_complex: bool) -> np.ndarray:
-    """(alpha, alpha', beta, beta') at search parameters (..., k): k = 8 interleaves
-    real and imaginary parts, k = 2 anchors alpha = beta = 0, k = 4 is the identity.
-
-    The complex view keeps the sign of a zero part, where re + 1j * im would
-    drop it.  No output reads that sign: |z|^2 squares it, in Re(alpha beta)
-    it can only flip the sign of a zero exponent, and exp(-0.0) == exp(0.0),
-    and _displaced_parity tests alpha.imag == 0.0.
-    """
-    if is_complex:
-        return np.ascontiguousarray(params, dtype=float).view(complex)
-    if anchor_zero:
-        z = np.zeros(params.shape[:-1] + (4,))
-        z[..., 1], z[..., 3] = params[..., 0], params[..., 1]
-        return z
-    return params
 
 
 def _bell_value(r: float, z: np.ndarray) -> np.ndarray:
@@ -569,27 +553,19 @@ def _bell_derivatives(forms: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarr
     return e.sum(), e @ qx, np.tensordot(e, forms, 1) + (qx.T * e) @ qx
 
 
-def _best_displacements(r: float, anchor_zero: bool, complex_displacements: bool,
-                        restarts: int) -> np.ndarray:
-    """(alpha, alpha', beta, beta') at the best optimum found by the search of
-    bw_displaced_parity_max; complex only for complex_displacements."""
+def _best_displacements(r: float, anchor_zero: bool, restarts: int) -> np.ndarray:
+    """Real (alpha, alpha', beta, beta') at the best optimum found by the
+    search of bw_displaced_parity_max."""
     grid_radius = max(1.2 * math.exp(-r), 0.05)
     starts = _grid_starts(r, anchor_zero, grid_radius, restarts + 1)
-    # The coordinates of _exponent_forms that the search moves; the rest are 0.
-    if complex_displacements:
-        coordinates = [0, 2, 3, 4, 5, 6, 7]  # Im alpha = 0
-        full = np.zeros((len(starts), 8))
-        full[:, 0::2] = starts
-        starts = full[:, coordinates]
-    else:
-        coordinates = [2, 6] if anchor_zero else [0, 2, 4, 6]
-    forms = _exponent_forms(r)[:, coordinates][:, :, coordinates]
+    # The coordinates of z that the search moves; the anchored ones stay 0.
+    moved = [1, 3] if anchor_zero else [0, 1, 2, 3]
+    forms = _exponent_forms(r)[:, moved][:, :, moved]
     fgh = functools.partial(_bell_derivatives, forms)
     runs = [newton_ascent(fgh, x0, xtol=1e-14 * grid_radius) for x0 in starts]
-    x, _ = max(runs, key=lambda run: run[1])  # the first of equal values
-    if complex_displacements:
-        x = np.insert(x, 1, 0.0)
-    return _search_displacements(x, anchor_zero, complex_displacements)
+    z = np.zeros(4)
+    z[moved], _ = max(runs, key=lambda run: run[1])  # the first of equal values
+    return z
 
 
 def bw_displaced_parity_max(
@@ -606,36 +582,38 @@ def bw_displaced_parity_max(
     By default all four displacements are real and free, which is the
     arrangement whose optimum over r plateaus near 2.32.  anchor_zero
     restricts each party's first setting to no displacement, a strictly
-    weaker arrangement.  complex_displacements frees all eight real
-    parameters.  The closed form depends on them only through |alpha|,
-    |beta| and Re(alpha beta), so one common rotation alpha -> alpha e^{i phi},
-    beta -> beta e^{-i phi} leaves the Bell sum unchanged; the search fixes
-    that gauge with Im alpha = 0 and runs on the other 7.
+    weaker arrangement.  complex_displacements=True runs the same real search
+    and returns the same value; the keyword stays for callers that pass it.
+    The closed form depends on complex
+    displacements only through |alpha|, |beta| and Re(alpha beta), and is
+    unchanged when every imaginary part flips sign, so a complex search from
+    the real grid starts has zero imaginary gradient and never leaves the
+    real slice.  The gauge-fixed 7-parameter complex search is the tests'
+    reference (tests/reference_complex_search.py); from random complex starts
+    it ends no more than rounding above the real optimum, though no proof
+    yet rules out a higher complex optimum.
 
     Starts come from a 21-point grid per axis over [-R, R],
     R = max(1.2 exp(-r), 0.05), since optimal displacements shrink roughly
     like exp(-r) (_grid_starts): the first maximum of the best alpha row,
     then of the next-best rows, 1 + restarts starts in all (at most 21).
-    Complex starts have zero imaginary parts.  Each start runs one Newton
-    ascent (_newton.newton_ascent) on the exact gradient and Hessian of the
-    closed form (_bell_derivatives) and stops at a step below 1e-14 R; a
-    later start wins only if strictly better.  Nothing is random: seed is
-    accepted and ignored.  The returned value is the truncated reference,
-    bw_bell_value, at the optimum found; if it disagrees with the closed
-    form by more than 1e-8, or either is NaN, ArithmeticError is raised.
-    Small squeezing needs a cutoff above required_fock_cutoff(r) for that
-    check, because the optimal displacements then reach past the states
-    the tail mass accounts for.
+    Each start runs one Newton ascent (_newton.newton_ascent) on the exact
+    gradient and Hessian of the closed form (_bell_derivatives) and stops
+    at a step below 1e-14 R; a later start wins only if strictly better.
+    Nothing is random: seed is accepted and ignored.  The returned value is
+    the truncated reference, bw_bell_value, at the optimum found; if it
+    disagrees with the closed form by more than 1e-8, or either is NaN,
+    ArithmeticError is raised.  Small squeezing needs a cutoff above
+    required_fock_cutoff(r) for that check, because the optimal
+    displacements then reach past the states the tail mass accounts for.
     """
-    r = float(r)
-    if not math.isfinite(r) or r < 0.0:
-        raise ValueError(f"squeezing r must be finite and >= 0, got {r}")
+    r = _as_squeezing(r)
     cutoff_fock = _check_fock_cutoff(cutoff_fock, r)
     if restarts < 0:
         raise ValueError(f"restarts must be nonnegative, got {restarts}")
     if anchor_zero and complex_displacements:
         raise ValueError("anchor_zero applies to real displacements only")
-    z = _best_displacements(r, anchor_zero, complex_displacements, restarts)
+    z = _best_displacements(r, anchor_zero, restarts)
     value = float(_bell_value(r, z))
     check = bw_bell_value(cutoff_fock, r, tuple(z[:2]), tuple(z[2:]))
     if not abs(check - value) <= 1e-8:

@@ -34,13 +34,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._newton import newton_ascent
-from .lr_polytope import BinningSpec, CoefficientTensor, _binning_signs, build_coefficients, zeta
+from .lr_polytope import BinningSpec, CoefficientTensor, _binning_signs, build_coefficients
 
 # Largest d whose dense d^2 x d^2 Bell operator build_bell_operator builds.
 _OPERATOR_LIMIT = 64
@@ -210,11 +209,6 @@ def build_bell_operator(
             f"(matrix would be {d * d} x {d * d})"
         )
     return BellOperatorMatrix(d, _bell_operators(coeffs.eps, fourier_basis(d, phases.as_array())))
-
-
-def binned_observable(d: int, offset: float, subset: Iterable[int]) -> np.ndarray:
-    """±1 observable sum_k zeta(k) |k><k| in the offset Fourier basis."""
-    return _binned_observables(fourier_basis(d, offset), zeta(subset, d))
 
 
 def operator_identity_residual(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import re
 import warnings
+from collections import namedtuple
 from functools import partial
 
 import numpy as np
@@ -28,7 +29,6 @@ from binned_bell.cv import (
     _grid_starts,
     _parity_correlation,
     _phase_parity_matrix,
-    _search_displacements,
     bw_bell_value,
     bw_displaced_parity_max,
     cv_bell_expectation,
@@ -38,6 +38,13 @@ from binned_bell.cv import (
     tmss_bell_closed_form,
     tmss_tail_mass,
     violation_boundary_r,
+)
+from reference_complex_search import (
+    GAUGE_COORDINATES,
+    best_complex_displacements,
+    complex_exponent_forms,
+    complex_search,
+    complex_view,
 )
 from reference_nelder_mead import nelder_mead_lockstep
 
@@ -344,14 +351,13 @@ class TestDisplacedParity:
         assert abs(anchored - 2.19) < 0.01
 
     def test_complex_search_starts_from_real_optimum(self):
-        # The complex search's first start is the real grid optimum, so it
-        # reaches the real value.
+        # The reference complex search's first start is the real grid
+        # optimum, so it reaches the real value.
         r = 0.6
         cutoff = required_fock_cutoff(r)
         real_value = bw_displaced_parity_max(cutoff, r, restarts=3, seed=0)
-        complex_value = bw_displaced_parity_max(
-            cutoff, r, complex_displacements=True, restarts=0, seed=0
-        )
+        z = best_complex_displacements(r, 0)
+        complex_value = bw_bell_value(cutoff, r, tuple(z[:2]), tuple(z[2:]))
         assert complex_value >= real_value - 1e-9
 
     def test_small_squeezing_returns_physical_maximum(self):
@@ -375,14 +381,13 @@ class TestDisplacedParity:
         assert abs(bw_displaced_parity_max(8, 0.1, restarts=3, seed=0) - float(closed)) < 1e-15
 
     def test_complex_displacements_find_no_surplus(self):
-        # The optimum sits on a real-displacement slice, so the 8-parameter
-        # search lands on the same plateau.
+        # The optimum sits on a real-displacement slice, so the reference
+        # complex search lands on the same plateau.
         r = 1.0
         cutoff = required_fock_cutoff(r)
         real_value = bw_displaced_parity_max(cutoff, r, restarts=2, seed=0)
-        complex_value = bw_displaced_parity_max(
-            cutoff, r, complex_displacements=True, restarts=4, seed=2
-        )
+        z = best_complex_displacements(r, 4)
+        complex_value = bw_bell_value(cutoff, r, tuple(z[:2]), tuple(z[2:]))
         assert complex_value <= real_value + 1e-6
         assert abs(complex_value - real_value) < 1e-3
 
@@ -394,20 +399,20 @@ class TestSpectralDisplacement:
         for r in (0.8, 1.2, 1.6, 2.0):
             cutoff = required_fock_cutoff(r) + 32
             for params in rng.uniform(-search_box(r), search_box(r), size=(2, 8)):
-                z = _search_displacements(params, False, True)
+                z = complex_view(params)
                 reference = bw_bell_value(cutoff, r, (z[0], z[1]), (z[2], z[3]))
                 assert abs(_bell_value(r, z) - reference) < 1e-10
 
     @pytest.mark.parametrize("seed", [5, 34, 314])
     def test_real_points_match_complex_route(self, seed):
         # A real point and the same point with zero imaginary parts give the
-        # same bits, so the complex search's first start sits on the real
-        # search's grid optimum with the real value.
+        # same bits, so the reference complex search's first start sits on
+        # the real search's grid optimum with the real value.
         rng = np.random.default_rng(seed)
         for r in (0.0, 0.9, 2.0):
             points = rng.uniform(-0.8, 0.8, size=(4, 4))
             params = np.stack([points, np.zeros_like(points)], axis=-1).reshape(4, 8)
-            complex_points = _search_displacements(params, False, True)
+            complex_points = complex_view(params)
             assert np.array_equal(_bell_value(r, points), _bell_value(r, complex_points))
 
     @pytest.mark.parametrize("seed", [5, 34])
@@ -492,8 +497,9 @@ class TestBuiltOnce:
         assert np.array_equal(cv._grid_starts(r, True, search_box(r), 30), expected)
 
     def test_search_displacements_same_bits_as_stacked_forms(self):
-        # The complex view keeps the sign of a zero part that re + 1j * im
-        # drops; no Bell value, closed form or reference, may read it.
+        # The reference search's complex view keeps the sign of a zero part
+        # that re + 1j * im drops; no Bell value, closed form or reference,
+        # may read it.
         rng = np.random.default_rng(41)
         wide = rng.uniform(-0.8, 0.8, size=(6, 16))
         wide[:, 1:8:2] = [0.0, -0.0, 0.0, -0.0]
@@ -502,23 +508,15 @@ class TestBuiltOnce:
         signs_differ = False
         for params in (wide[:, :8], wide[:, ::2], wide.T[::2].T, integers):
             stacked = params[..., 0::2] + 1j * params[..., 1::2]
-            z = _search_displacements(params, False, True)
+            z = complex_view(params)
             signs_differ |= np.any(np.signbit(z.real) != np.signbit(stacked.real))
             signs_differ |= np.any(np.signbit(z.imag) != np.signbit(stacked.imag))
             for r in (0.0, 0.9, 2.0):
                 assert np.array_equal(_bell_value(r, z), _bell_value(r, stacked))
         assert signs_differ
-        for params in (wide[:, :2], wide[:, ::8], integers[:, :2]):
-            zero = np.zeros(params.shape[:-1])
-            stacked = np.stack([zero, params[..., 0], zero, params[..., 1]], axis=-1)
-            z = _search_displacements(params, True, False)
-            assert z.dtype == stacked.dtype
-            for r in (0.0, 0.9, 2.0):
-                assert np.array_equal(_bell_value(r, z), _bell_value(r, stacked))
         cutoff = required_fock_cutoff(0.9)
         params = wide[:2, :8]
-        for view, stacked in zip(_search_displacements(params, False, True),
-                                 params[..., 0::2] + 1j * params[..., 1::2]):
+        for view, stacked in zip(complex_view(params), params[..., 0::2] + 1j * params[..., 1::2]):
             assert bw_bell_value(cutoff, 0.9, tuple(view[:2]), tuple(view[2:])) == bw_bell_value(
                 cutoff, 0.9, tuple(stacked[:2]), tuple(stacked[2:]))
 
@@ -550,25 +548,35 @@ class TestDisplacedParityGuards:
             self.search(restarts=0)
 
 
-# Arrangements of the displaced-parity search: keyword arguments and the
-# coordinates of _exponent_forms that the search moves.
+# Arrangements of the displaced-parity search: keyword arguments of
+# bw_displaced_parity_max, the exponent forms over all coordinates, the
+# coordinates the search moves, and the search, which returns
+# (alpha, alpha', beta, beta') for (r, restarts).  The complex arrangement's
+# search is the reference of reference_complex_search; for its keyword the
+# package runs the free search.
+Arrangement = namedtuple("Arrangement", "kwargs forms coordinates search")
 ARRANGEMENTS = {
-    "free": ({}, [0, 2, 4, 6]),
-    "anchored": ({"anchor_zero": True}, [2, 6]),
-    "complex": ({"complex_displacements": True}, [0, 2, 3, 4, 5, 6, 7]),
+    "free": Arrangement({}, _exponent_forms, [0, 1, 2, 3],
+                        lambda r, restarts: _best_displacements(r, False, restarts)),
+    "anchored": Arrangement({"anchor_zero": True}, _exponent_forms, [1, 3],
+                            lambda r, restarts: _best_displacements(r, True, restarts)),
+    "complex": Arrangement({"complex_displacements": True}, complex_exponent_forms,
+                           GAUGE_COORDINATES, best_complex_displacements),
 }
 
 
 def search_forms(r: float, arrangement: str) -> np.ndarray:
-    coordinates = ARRANGEMENTS[arrangement][1]
-    return _exponent_forms(r)[:, coordinates][:, :, coordinates]
+    a = ARRANGEMENTS[arrangement]
+    return a.forms(r)[:, a.coordinates][:, :, a.coordinates]
 
 
-def full_displacements(coordinates, x: np.ndarray) -> np.ndarray:
-    """(alpha, alpha', beta, beta') as complex numbers from the moved coordinates x."""
-    v = np.zeros(8)
-    v[coordinates] = x
-    return v[0::2] + 1j * v[1::2]
+def full_displacements(arrangement: str, x: np.ndarray) -> np.ndarray:
+    """(alpha, alpha', beta, beta') from the moved coordinates x[..., :]; complex
+    from interleaved parts for the complex arrangement, real otherwise."""
+    is_complex = arrangement == "complex"
+    v = np.zeros(np.shape(x)[:-1] + (8 if is_complex else 4,))
+    v[..., ARRANGEMENTS[arrangement].coordinates] = x
+    return complex_view(v) if is_complex else v
 
 
 class TestBellDerivatives:
@@ -580,7 +588,7 @@ class TestBellDerivatives:
         rng = np.random.default_rng(int(10 * r) + len(arrangement))
         for x in rng.uniform(-search_box(r), search_box(r), size=(4, forms.shape[1])):
             value, grad, hess = fgh(x)
-            z = full_displacements(ARRANGEMENTS[arrangement][1], x)
+            z = full_displacements(arrangement, x)
             assert value == pytest.approx(float(_bell_value(r, z)), abs=1e-14)
             # The curvature grows like cosh 2r, so the step shrinks like exp(-r).
             h = 1e-5 * search_box(r)
@@ -600,10 +608,10 @@ class TestComplexGauge:
         # negative semidefinite, not definite: alpha -> alpha e^{i phi},
         # beta -> beta e^{-i phi} moves along y = phi x, w = -phi u without
         # changing the sum.  On the rest of the block it is negative definite.
-        z = _best_displacements(r, False, False, 0)
+        z = _best_displacements(r, False, 0)
         v = np.zeros(8)
         v[0::2] = z
-        _, grad, hess = _bell_derivatives(_exponent_forms(r), v)
+        _, grad, hess = _bell_derivatives(complex_exponent_forms(r), v)
         assert np.all(grad[1::2] == 0.0)
         lam, vectors = np.linalg.eigh(hess[1::2, 1::2])
         rotation = np.array([z[0], z[1], -z[2], -z[3]]) / np.linalg.norm(z)
@@ -613,22 +621,41 @@ class TestComplexGauge:
 
     @pytest.mark.parametrize("r", [0.3, 0.6, 1.0, 1.6])
     def test_complex_search_returns_the_real_value(self, r):
+        # complex_displacements runs the real search, so every bit agrees.
+        # The reference complex search from the same grid starts stays on
+        # the real slice and ends at the real value to rounding.
         cutoff = required_fock_cutoff(r) + (5 if r < 0.5 else 0)
         real = bw_displaced_parity_max(cutoff, r, restarts=1)
-        assert abs(bw_displaced_parity_max(cutoff, r, complex_displacements=True, restarts=1)
-                   - real) <= 1e-15
+        assert bw_displaced_parity_max(cutoff, r, complex_displacements=True, restarts=1) == real
+        z = best_complex_displacements(r, 1)
+        assert abs(bw_bell_value(cutoff, r, tuple(z[:2]), tuple(z[2:])) - real) <= 1e-15
+
+    def test_real_forms_are_the_real_block_of_the_complex_forms(self):
+        for r in (0.0, 0.3, 1.0, 2.0, 5.0):
+            assert np.array_equal(_exponent_forms(r), complex_exponent_forms(r)[:, 0::2, 0::2])
+
+    @pytest.mark.parametrize("r", [0.05, 0.3, 0.8, 2.0])
+    def test_random_complex_starts_end_no_higher_than_the_real_optimum(self, r):
+        # Every complex point rotates to Im alpha = 0 without changing the
+        # sum, so random starts in the other 7 coordinates cover them all.
+        real = float(_bell_value(r, _best_displacements(r, False, 4)))
+        rng = np.random.default_rng(int(100 * r))
+        starts = rng.uniform(-search_box(r), search_box(r), size=(24, len(GAUGE_COORDINATES)))
+        for x0 in starts:
+            assert float(_bell_value(r, complex_search(r, [x0]))) <= real + 1e-12
 
 
 class TestNewtonSafeguards:
     @pytest.mark.parametrize("arrangement", sorted(ARRANGEMENTS))
     @pytest.mark.parametrize("r", [0.0, 0.3, 0.8, 2.0])
     def test_no_search_returns_less_than_its_grid_start(self, arrangement, r):
-        kwargs = ARRANGEMENTS[arrangement][0]
+        kwargs = ARRANGEMENTS[arrangement].kwargs
         grid_best = _grid_starts(r, kwargs.get("anchor_zero", False), search_box(r), 1)[0]
         z = grid_best if len(grid_best) == 4 else np.array([0.0, grid_best[0], 0.0, grid_best[1]])
         cutoff = required_fock_cutoff(r) + 5
         value = bw_displaced_parity_max(cutoff, r, restarts=2, **kwargs)
-        assert value >= float(_bell_value(r, z)) - 1e-12
+        found = float(_bell_value(r, ARRANGEMENTS[arrangement].search(r, 2)))
+        assert min(value, found) >= float(_bell_value(r, z)) - 1e-12
 
     def test_indefinite_start_still_ascends(self):
         fgh = partial(_bell_derivatives, search_forms(1.0, "free"))
@@ -645,7 +672,7 @@ class TestNewtonSafeguards:
     @pytest.mark.parametrize("arrangement", sorted(ARRANGEMENTS))
     def test_seed_changes_no_output(self, arrangement):
         r = 0.8
-        kwargs = ARRANGEMENTS[arrangement][0]
+        kwargs = ARRANGEMENTS[arrangement].kwargs
         values = {bw_displaced_parity_max(required_fock_cutoff(r), r, restarts=2, seed=seed,
                                           **kwargs) for seed in (0, 1, 12345)}
         assert len(values) == 1
@@ -654,17 +681,18 @@ class TestNewtonSafeguards:
     def test_no_search_ends_below_the_reference_simplex(self, arrangement):
         # The derivative-free reference from the search's first grid start,
         # over all of the arrangement's real parameters.
-        kwargs = ARRANGEMENTS[arrangement][0]
-        anchor_zero = kwargs.get("anchor_zero", False)
-        is_complex = kwargs.get("complex_displacements", False)
+        anchor_zero = arrangement == "anchored"
         for r in (0.0, 0.3, 0.8, 1.5, 2.0):
             start = _grid_starts(r, anchor_zero, search_box(r), 1)
-            if is_complex:
-                start = np.insert(start, [1, 2, 3, 4], 0.0, axis=1)  # zero imaginary parts
+            if arrangement == "complex":
+                # All eight parameters, imaginary parts 0: the simplex fixes no gauge.
+                start, to_z = np.insert(start, [1, 2, 3, 4], 0.0, axis=1), complex_view
+            else:
+                to_z = partial(full_displacements, arrangement)
 
             def minus_bell(x):
-                return -_bell_value(r, _search_displacements(x, anchor_zero, is_complex))
+                return -_bell_value(r, to_z(x))
 
             _, fsim = nelder_mead_lockstep(minus_bell, start, maxiter=4000, maxfev=8000)
-            z = _best_displacements(r, anchor_zero, is_complex, 0)
+            z = ARRANGEMENTS[arrangement].search(r, 0)
             assert float(_bell_value(r, z)) >= -fsim[0, 0] - 1e-14, (arrangement, r)

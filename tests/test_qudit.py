@@ -14,18 +14,20 @@ import pytest
 import binned_bell
 from binned_bell import cli, lr_polytope, qudit
 from binned_bell._newton import newton_ascent
-from binned_bell.cv import _bell_value, _search_displacements
+from binned_bell.cv import _bell_value
 from binned_bell.lr_polytope import (
     BinningSpec,
     CoefficientTensor,
     _chsh_table,
     build_coefficients,
     count_max_configs,
+    zeta,
 )
 from binned_bell.qudit import (
     SQRT8,
     BinningPreset,
     _KernelObjective,
+    _binned_observables,
     _fourier_table,
     _grid_start,
     _pair_derivatives,
@@ -33,13 +35,13 @@ from binned_bell.qudit import (
     _probability_matrix,
     PhaseSettings,
     bell_expectation,
-    binned_observable,
     build_bell_operator,
     fourier_basis,
     operator_identity_residual,
     optimize_phases,
     probability_kernel,
 )
+from reference_complex_search import complex_view
 from reference_nelder_mead import nelder_mead_lockstep
 
 OPTIMAL_PHASES = PhaseSettings(0.0, 0.5, -0.25, 0.25)
@@ -280,7 +282,7 @@ class TestBellOperator:
         rng = np.random.default_rng(2)
         for d in (2, 4, 7):
             subset = tuple(range(0, d, 2))
-            obs = binned_observable(d, float(rng.uniform(-1, 1)), subset)
+            obs = _binned_observables(fourier_basis(d, float(rng.uniform(-1, 1))), zeta(subset, d))
             assert np.max(np.abs(obs - obs.conj().T)) < 1e-12
             assert np.max(np.abs(obs @ obs - np.eye(d))) < 1e-12
             eigenvalues = np.sort(np.linalg.eigvalsh(obs))
@@ -733,8 +735,17 @@ def lockstep_starts(seed: int, n: int = 4) -> np.ndarray:
     return np.vstack([np.resize([0.0, 0.5, 1.25, 0.0], n), rng.uniform(0.0, 2.0, size=(4, n))])
 
 
-CV_SEARCHES = {"cv-free": (False, False, 4), "cv-anchored": (True, False, 2),
-               "cv-complex": (False, True, 8)}
+def anchored_displacements(x: np.ndarray) -> np.ndarray:
+    """(0, alpha', 0, beta') from the anchored search's parameters (..., 2)."""
+    z = np.zeros(np.shape(x)[:-1] + (4,))
+    z[..., 1::2] = x
+    return z
+
+
+# Displacements (alpha, alpha', beta, beta') from the real parameters of
+# each arrangement of the displaced-parity search, and their number.
+CV_SEARCHES = {"cv-free": (lambda x: x, 4), "cv-anchored": (anchored_displacements, 2),
+               "cv-complex": (complex_view, 8)}
 
 
 def search_objective(kind: str, d: int):
@@ -747,11 +758,9 @@ def search_objective(kind: str, d: int):
     if kind not in CV_SEARCHES:
         objective = _KernelObjective(build_coefficients(BinningPreset(kind, d).to_binning_spec()))
         return (lambda x: -objective(x)), 4
-    anchor_zero, complex_displacements, n = CV_SEARCHES[kind]
+    displacements, n = CV_SEARCHES[kind]
     r = d / 10
-    return (
-        lambda x: -_bell_value(r, _search_displacements(x, anchor_zero, complex_displacements))
-    ), n
+    return (lambda x: -_bell_value(r, displacements(x))), n
 
 
 class TestLockstepNelderMead:
