@@ -15,21 +15,21 @@ so the LR bound is the maximum of
 
 over all d^4 assignments.  For the product form above this value is
 x*y1 + x*y2 + xt*y1 - xt*y2 with x, xt, y1, y2 in {-1, +1}, hence always ±2.
+So the maximizers are four disjoint boxes, with R' the complement of R:
+(R1, all, S1, S2), (R1', all, S1', S2'), (all, R2, S1, S2') and
+(all, R2', S1', S2).  lr_max and count_max_configs enumerate the d^4 values
+and are the reference route.
 
 Tightness of B <= 2 on the LR polytope is certified by the rank of the
-maximizers' extremal 0/1 vectors.  A facet needs rank 4d(d-1); the count of
-maximizing assignments (closed form m_formula) reaching that threshold is
-only a necessary condition.  The rank is first found over GF(2), on rows
-held as Python ints with four bits set, and stops as soon as it reaches the
-geometric upper bound.  A 0/1 matrix's rank mod 2 never exceeds its rank
-over Q (a minor that is odd is a nonzero integer), so reaching the bound is
-exact.  Only when it falls short does the rank modulo the prime 2^31 - 1
-run; its shortfall is proven from above by the lifted null space of the
-reduced basis.  Rank computations never touch floating point.
+maximizers' extremal 0/1 vectors (tightness_certificate, from the boxes).  A
+facet needs rank 4d(d-1); the count of maximizing assignments (closed form
+m_formula) reaching that threshold is only a necessary condition.  Rank
+computations never touch floating point.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import asdict, dataclass
 from typing import Iterable
@@ -41,16 +41,14 @@ DEFAULT_ENUMERATION_LIMIT = 32
 # Modulus of the modular rank: a product of two residues stays below 2**62,
 # so int64 arithmetic never overflows.
 _PRIME = 2**31 - 1
-# Maximizers reduced per batch by the modular rank.
+# Rows reduced per batch by the modular rank.
 _CHUNK_ROWS = 32
-# Maximizers turned into bit rows per batch by the GF(2) rank.
-_BIT_ROWS = 4096
-# Maximizers checked per batch against the lifted null space.
+# Rows checked per batch against the lifted null space.
 _CHECK_ROWS = 1024
 
 
 class EnumerationLimitError(ValueError):
-    """A d^4 enumeration was refused because d exceeds the configured limit."""
+    """d is above the limit: d^4 assignments to enumerate, or a 16 d^4-bit rank basis."""
 
 
 def _check_limit(d: int, limit: int) -> None:
@@ -236,53 +234,23 @@ def _extremal_columns(d: int, configs: np.ndarray) -> tuple[np.ndarray, ...]:
     return (k1 * d + l1, dd + k1 * d + l2, 2 * dd + k2 * d + l1, 3 * dd + k2 * d + l2)
 
 
-def _set_bits(mask: int):
-    """Indices of the set bits of a nonnegative int, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _gf2_rank(configs: np.ndarray, d: int, bound: int) -> int:
     """Rank mod 2 of the configs' extremal vectors, stopping at bound.
 
-    A row is a Python int with its four column bits set.  The basis is kept
-    in reduced row echelon form: no basis row holds another's pivot, so a
-    fresh row is reduced by XOR with the basis rows of its (at most four)
-    pivot bits.  A new pivot, the fresh row's highest bit, is cleared from
-    the basis rows that hold it, which holders[c] names without a scan: a
-    bitmask over the basis slots whose row holds the non-pivot column c.
-    Rows are built a chunk at a time and visited in the order of
-    _modular_rank.
+    A row is a Python int with its four column bits set.  The basis maps
+    each row's top bit to the row; a fresh row is XORed with the basis row
+    of its top bit until that bit is new (-1 once the row vanishes).
     """
-    unit = [1 << c for c in range(4 * d * d)]
-    rows: list[int] = []
-    slot_of: dict[int, int] = {}
-    holders: dict[int, int] = {}
-    order = np.random.default_rng(0).permutation(configs.shape[0])
-    for start in range(0, order.size, _BIT_ROWS):
-        cols = _extremal_columns(d, configs[order[start:start + _BIT_ROWS]])
-        for c0, c1, c2, c3 in zip(*(c.tolist() for c in cols)):
-            row = unit[c0] | unit[c1] | unit[c2] | unit[c3]
-            for c in (c0, c1, c2, c3):
-                if c in slot_of:
-                    row ^= rows[slot_of[c]]
-            if not row:
-                continue
-            pivot = row.bit_length() - 1
-            held = holders.pop(pivot, 0)
-            for slot in _set_bits(held):
-                rows[slot] ^= row
-            # The rows in held, and the new one, toggle the row's other bits.
-            toggle = held ^ (1 << len(rows))
-            for b in _set_bits(row ^ unit[pivot]):
-                holders[b] = holders.get(b, 0) ^ toggle
-            slot_of[pivot] = len(rows)
-            rows.append(row)
-            if len(rows) == bound:
-                return bound
-    return len(rows)
+    basis: dict[int, int] = {}
+    for c0, c1, c2, c3 in zip(*(c.tolist() for c in _extremal_columns(d, configs))):
+        row = 1 << c0 | 1 << c1 | 1 << c2 | 1 << c3
+        while (top := row.bit_length() - 1) in basis:
+            row ^= basis[top]
+        if row:
+            basis[top] = row
+            if len(basis) == bound:
+                break
+    return len(basis)
 
 
 def _clear_column(block: np.ndarray, col: int, row: np.ndarray, support: np.ndarray) -> None:
@@ -298,21 +266,18 @@ def _modular_rank(configs: np.ndarray, d: int, bound: int) -> int:
 
     The basis is kept in reduced row echelon form, so a fresh 0/1 row is
     reduced by subtracting the basis rows of its (at most four) pivot
-    columns.  Rows are built and reduced a chunk at a time and visited in a
-    fixed spread-out order: the rank does not depend on the order, but how
-    soon it reaches the bound does.  A rank short of the bound is proven
-    from above by _check_null_space.
+    columns.  Rows are built and reduced a chunk at a time, in the order
+    given; a rank short of the bound is proven from above by _check_null_space.
     """
     ncols = 4 * d * d
     # The extra zero row stands in for the basis row of a non-pivot column.
     basis = np.zeros((bound + 1, ncols), dtype=np.int64)
     row_of_pivot = np.full(ncols, bound)
-    order = np.random.default_rng(0).permutation(configs.shape[0])
     rank = 0
-    for start in range(0, order.size, _CHUNK_ROWS):
+    for start in range(0, configs.shape[0], _CHUNK_ROWS):
         if rank == bound:
             break
-        cols = _extremal_columns(d, configs[order[start:start + _CHUNK_ROWS]])
+        cols = _extremal_columns(d, configs[start:start + _CHUNK_ROWS])
         rows = np.zeros((cols[0].size, ncols), dtype=np.int64)
         for c in cols:
             rows -= basis[row_of_pivot[c]]
@@ -347,7 +312,8 @@ def _check_null_space(
     For each non-pivot column f, y_f = e_f - sum_i basis[i, f] e_pivot(i),
     lifted to symmetric residues |y| < p/2, must be annihilated by every row
     exactly; four entries sum below 2^32, so int64 cannot overflow.  These
-    unit vectors on the non-pivot columns are independent.
+    unit vectors on the non-pivot columns are independent.  They annihilate
+    every integer combination of the rows too, such as each maximizer's row.
     """
     rank = basis.shape[0]
     is_pivot = row_of_pivot < rank
@@ -381,21 +347,52 @@ class TightnessReport:
         return asdict(self)
 
 
+def _maximizer_boxes(spec: BinningSpec) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The four disjoint boxes (K1, K2, L1, L2) whose union is the maximizer set."""
+    every = tuple(range(spec.d))
+    r1c, r2c, s1c, s2c = (tuple(k for k in every if k not in subset)
+                          for subset in (spec.r1, spec.r2, spec.s1, spec.s2))
+    return ((spec.r1, every, spec.s1, spec.s2), (r1c, every, s1c, s2c),
+            (every, spec.r2, spec.s1, s2c), (every, r2c, s1c, spec.s2))
+
+
+def _box_generators(boxes) -> np.ndarray:
+    """Each nonempty box's points that differ from its base point (the first
+    entry of each side) only in the coordinates of one block, listed once."""
+    configs: dict[tuple[int, ...], None] = {}
+    for box in filter(all, boxes):
+        # Blocks (k1, l1), (k1, l2), (k2, l1), (k2, l2) as config coordinates.
+        for block in ((0, 2), (0, 3), (1, 2), (1, 3)):
+            sides = [side if n in block else side[:1] for n, side in enumerate(box)]
+            configs.update(dict.fromkeys(itertools.product(*sides)))
+    return np.array(list(configs), dtype=np.int64)
+
+
 def tightness_certificate(
     spec: BinningSpec, *, limit: int = DEFAULT_ENUMERATION_LIMIT
 ) -> TightnessReport:
-    """Enumerate LR maximizers and certify tightness of the binned inequality.
+    """Certify tightness of the binned inequality from its four maximizer boxes.
 
-    The rank of the maximizers' extremal vectors has a geometric upper bound:
-    all d^4 deterministic vectors span (2d-1)^2 dimensions, and when some
-    assignment is not a maximizer the maximizers lie on a proper face, of
-    rank at most 4d(d-1).  The rank is computed over GF(2), stopping at the
-    bound; a rank mod 2 never exceeds the rank over Q, so reaching the bound
-    proves the exact rank.  Only a GF(2) shortfall runs the rank over GF(p),
-    p = 2^31 - 1, which also stops at the bound.  A shortfall r there is
-    proven from above: the mod-p null space of the maximizers, lifted to
-    integers, gives n - r independent vectors that every maximizer must
-    annihilate exactly, or the call raises ArithmeticError.
+    Every assignment scores ±2 and box (R1', all, S1', S2') is never empty
+    (BinningSpec rejects full subsets), so lr_max is 2; m_counted adds the
+    box sizes.  An extremal vector v is a sum of one term per block
+    (k_a, l_b).  So if b is a box's base point, x_ab the point with block
+    (a, b) from x and the rest from b, and x_i the one with coordinate i
+    from x, every x in the box has v(x) = sum_ab v(x_ab) - sum_i v(x_i) + v(b).
+    That holds over Z, hence mod 2 and mod p: the O(d^2) generators of
+    _box_generators span what all maximizers span.
+
+    The rank has a geometric upper bound: all d^4 deterministic vectors
+    span (2d-1)^2 dimensions, and when some assignment is not a maximizer
+    the maximizers lie on a proper face, of rank at most 4d(d-1).  The rank
+    is computed over GF(2), stopping at the bound; a 0/1 matrix's rank mod 2
+    never exceeds its rank over Q (a minor that is odd is a nonzero
+    integer), so reaching the bound proves the exact rank.  Only a GF(2)
+    shortfall runs the rank over GF(p), p = 2^31 - 1, which also stops at
+    the bound.  A shortfall r there is proven from above: the mod-p null
+    space of the generators, lifted to integers, gives n - r independent
+    vectors that every generator, and so every maximizer, must annihilate
+    exactly, or the call raises ArithmeticError.
 
     is_tight_by_count compares the exact count against the facet threshold
     4d(d-1) and is only a necessary condition: specs with empty subsets
@@ -404,17 +401,16 @@ def tightness_certificate(
     """
     _check_limit(spec.d, limit)
     d = spec.d
-    values = _all_values(build_coefficients(spec).eps)
-    top = values.max()
-    configs = np.argwhere(values == top)
-    m_counted = int(configs.shape[0])
+    boxes = _maximizer_boxes(spec)
+    m_counted = sum(len(k1) * len(k2) * len(l1) * len(l2) for k1, k2, l1, l2 in boxes)
+    configs = _box_generators(boxes)
     threshold = facet_threshold(d)
     bound = (2 * d - 1) ** 2 if m_counted == d**4 else threshold
     rank = _gf2_rank(configs, d, bound)
     if rank < bound:
         rank = _modular_rank(configs, d, bound)
     return TightnessReport(
-        lr_max=float(top),
+        lr_max=2.0,
         m_counted=m_counted,
         m_formula=m_formula(spec),
         threshold=threshold,

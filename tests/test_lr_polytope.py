@@ -328,9 +328,8 @@ class TestTightnessCertificate:
 
     def test_every_d3_spec_matches_the_modular_stream(self, monkeypatch):
         # All 7^4 specs with subsets of size 0..2, shortfalls included.  The
-        # modular stream is deterministic, so each maximizer set runs it once:
-        # specs that complement all four subsets share one, and a shortfall's
-        # second pass reads the stream of its first.
+        # modular stream is deterministic, so each generator set runs it once:
+        # a shortfall's second pass reads the stream of its first.
         memo = {}
         modular = lr_polytope._modular_rank
 
@@ -393,3 +392,66 @@ class TestTightnessCertificate:
             "lr_max", "m_counted", "m_formula", "threshold",
             "linear_rank", "affine_rank", "is_tight_by_count",
         ]
+
+
+class TestMaximizerBoxes:
+    """The four boxes and their generators against the d^4 enumeration."""
+
+    @staticmethod
+    def specs_with_empty_subsets(seed: int, dims: range, per_d: int) -> list[BinningSpec]:
+        rng = np.random.default_rng(seed)
+        return [random_spec(rng, d, min_size=0) for d in dims for _ in range(per_d)]
+
+    def test_boxes_partition_the_maximizers(self):
+        # All 7^4 specs at d = 3, then random ones at d = 4..8.
+        subsets = [s for n in range(3) for s in itertools.combinations(range(3), n)]
+        specs = [BinningSpec(3, *sets) for sets in itertools.product(subsets, repeat=4)]
+        specs += self.specs_with_empty_subsets(29, range(4, 9), 10)
+        for spec in specs:
+            boxes = [set(itertools.product(*box)) for box in lr_polytope._maximizer_boxes(spec)]
+            union = set().union(*boxes)
+            assert sum(map(len, boxes)) == len(union), spec
+            assert union == set(map(tuple, maximizers(spec).tolist())), spec
+
+    def test_generators_span_every_maximizer(self):
+        for spec in self.specs_with_empty_subsets(31, range(2, 6), 4):
+            d = spec.d
+            generators = lr_polytope._box_generators(lr_polytope._maximizer_boxes(spec))
+            elim = ExactIntegerRank(4 * d * d)
+            for config in generators:
+                elim.add(extremal_row(d, config))
+            rank = elim.rank
+            for config in maximizers(spec):
+                elim.add(extremal_row(d, config))
+            assert elim.rank == rank, spec
+
+    def test_box_points_are_integer_combinations_of_generators(self):
+        # v(x) = sum_ab v(x_ab) - sum_i v(x_i) + v(b), with b the base point.
+        rng = np.random.default_rng(37)
+        d = 5
+        for spec in self.specs_with_empty_subsets(41, range(d, d + 1), 6):
+            for box in filter(all, lr_polytope._maximizer_boxes(spec)):
+                base = [side[0] for side in box]
+                for _ in range(5):
+                    x = [int(rng.choice(side)) for side in box]
+
+                    def mixed(coordinates):
+                        return extremal_row(d, [x[n] if n in coordinates else base[n]
+                                                for n in range(4)])
+
+                    blocks = ((0, 2), (0, 3), (1, 2), (1, 3))
+                    combination = (sum(mixed(block) for block in blocks)
+                                   - sum(mixed((n,)) for n in range(4)) + mixed(()))
+                    assert np.array_equal(combination, extremal_row(d, x)), (spec, x)
+
+    def test_report_counts_match_the_enumeration(self):
+        for spec in self.specs_with_empty_subsets(31, range(2, 6), 4):
+            coeffs = build_coefficients(spec)
+            report = tightness_certificate(spec)
+            assert report.lr_max == lr_max(coeffs)
+            assert report.m_counted == count_max_configs(coeffs)
+
+    def test_frozen_t1_d64(self):
+        report = tightness_certificate(T1(64), limit=64)
+        assert report.linear_rank == 16128
+        assert report.m_counted == report.m_formula == 8388608
