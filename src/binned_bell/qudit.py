@@ -93,10 +93,13 @@ def fourier_basis(d: int, offset) -> np.ndarray:
 
 def _probability_matrix(d: int, alpha: float, beta: float) -> np.ndarray:
     """P[k, l] from direct inner products of basis vectors with |psi>."""
-    u = fourier_basis(d, alpha)
-    v = fourier_basis(d, beta)
+    return _basis_probabilities(fourier_basis(d, alpha), fourier_basis(d, beta))
+
+
+def _basis_probabilities(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """P[k, l] = |<psi| (|a,k> x |b,l>)|^2 for the bases u = |a,k>, v = |b,l>."""
     # <psi| (|a,k> x |b,l>) = (1/sqrt(d)) sum_j u[j,k] v[j,l]
-    amp = u.T @ v / math.sqrt(d)
+    amp = u.T @ v / math.sqrt(len(u))
     return np.abs(amp) ** 2
 
 
@@ -129,8 +132,9 @@ def bell_expectation(
     """Bell sum sum_ab sum_kl eps_ab(k, l) P_ab(k, l).
 
     method="direct" evaluates probabilities from basis inner products
-    (the reference path); method="kernel" uses the optimizer's closed-form
-    objective.  The two agree to 1e-10.
+    (the reference path), with the four bases from one fourier_basis call
+    and the pairs summed in the order 11, 12, 21, 22; method="kernel" uses
+    the optimizer's closed-form objective.  The two agree to 1e-10.
     """
     if coeffs.d != d:
         raise ValueError(f"coefficient tensor has d={coeffs.d}, expected {d}")
@@ -138,10 +142,11 @@ def bell_expectation(
         raise ValueError(f"unknown method {method!r}")
     if method == "kernel":
         return float(_KernelObjective(coeffs)(phases.as_array()))
+    bases = fourier_basis(d, phases.as_array())
     total = 0.0
-    for alpha, eps_a in ((phases.alpha1, coeffs.eps[0]), (phases.alpha2, coeffs.eps[1])):
-        for beta, eps_ab in zip((phases.beta1, phases.beta2), eps_a):
-            total += float((eps_ab * _probability_matrix(d, alpha, beta)).sum())
+    for a in (0, 1):
+        for b in (0, 1):
+            total += float((coeffs.eps[a, b] * _basis_probabilities(bases[a], bases[2 + b])).sum())
     return total
 
 
@@ -372,24 +377,66 @@ def _pair_derivatives(table: np.ndarray, t) -> np.ndarray:
     return (np.hstack([np.cos(wt), np.sin(wt)])[:, None, :] @ table)[:, 0, :]
 
 
+# Entry budget of one block of the grid search: a pair_value call over a
+# block of grid points (d kernel entries each) or a block of shifts (N sums
+# or differences each).  The blocks bound _grid_start's memory at O(N).
+_GRID_ENTRIES = 1 << 14
+
+
+def _grid_values(objective: _KernelObjective) -> tuple[np.ndarray, np.ndarray]:
+    """Grid t_j = j d / N, N = 16 d, and fv[j] = f(t_j) = pair_value(0, 0, t_j).
+
+    The kernel table is evaluated in blocks of _GRID_ENTRIES // d columns.
+    The block width is a multiple of 16, like N: a BLAS matrix-vector
+    product may round its last few rows (width mod 4) in another order, so
+    any other width could change bits against one pair_value call.
+    """
+    d = objective.d
+    n = 16 * d
+    t = np.arange(n) * (d / n)
+    width = max(16, _GRID_ENTRIES // d // 16 * 16)
+    blocks = [objective.pair_value(0, 0, t[i:i + width]) for i in range(0, n, width)]
+    return t, np.concatenate(blocks)
+
+
 def _grid_start(objective: _KernelObjective) -> tuple[list[float], float]:
     """Best point (a1, a2, b2) of the gauge-fixed grid t_j = j d / N, N = 16 d.
 
     With fv[j] = f(t_j), h+[m] = max_j fv[j] + fv[j+m] and h-[m] = max_j
     fv[j] - fv[j+m] (indices mod N); m is the first argmax of h+ + h-.
     Returns (t[j+], t[j-], t[m]) and h+[m] + h-[m].
+
+    Only the shifts m = 0..N/2 are evaluated, in blocks of
+    _GRID_ENTRIES // N shifts, and fv in blocks of _GRID_ENTRIES kernel
+    entries (_grid_values), so the search holds O(N + _GRID_ENTRIES)
+    floats, never an N x N table.  Two exact identities give the other
+    shifts: h+[N-m] = h+[m], since floating-point addition is commutative,
+    and h-[N-m] = -min_j (fv[j] - fv[j+m]), since a - b = -(b - a)
+    exactly.  j+ and j- are found again at the chosen m only, from the same
+    expressions, so every bit of the start and its value is that of the
+    full N x N tables (tests/reference_grid_start.py).
     """
-    d = objective.d
-    n = 16 * d
-    t = np.arange(n) * (d / n)
-    fv = objective.pair_value(0, 0, t)
+    t, fv = _grid_values(objective)
+    n = fv.size
+    half = n // 2
+    ext = np.concatenate([fv, fv[:-1]])
     # shifted[m, j] = fv[(j + m) % n], a view: no N x N index table.
-    shifted = sliding_window_view(np.concatenate([fv, fv[:-1]]), n)
-    plus, minus = fv + shifted, fv - shifted
-    j_plus, j_minus = plus.argmax(axis=1), minus.argmax(axis=1)
-    h = plus[np.arange(n), j_plus] + minus[np.arange(n), j_minus]
+    shifted = sliding_window_view(ext, n)
+    plus_max, minus_max, minus_min = np.empty((3, half + 1))
+    rows = max(1, _GRID_ENTRIES // n)
+    for m0 in range(0, half + 1, rows):
+        block = shifted[m0:min(m0 + rows, half + 1)]
+        done = slice(m0, m0 + len(block))
+        np.max(fv + block, axis=1, out=plus_max[done])
+        minus = fv - block
+        np.max(minus, axis=1, out=minus_max[done])
+        np.min(minus, axis=1, out=minus_min[done])
+    mirror = slice(half - 1, 0, -1)  # m = N/2 + 1..N - 1 from N - m
+    h = (np.concatenate([plus_max, plus_max[mirror]])
+         + np.concatenate([minus_max, -minus_min[mirror]]))
     m = int(np.argmax(h))
-    return [t[j_plus[m]], t[j_minus[m]], t[m]], float(h[m])
+    j_plus, j_minus = np.argmax(fv + ext[m:m + n]), np.argmax(fv - ext[m:m + n])
+    return [t[j_plus], t[j_minus], t[m]], float(h[m])
 
 
 # Offset sums (a1, a1 + b2, a2, a2 + b2) of the gauge-fixed point (a1, a2, b2),
@@ -419,16 +466,19 @@ def optimize_phases(d: int, preset: BinningPreset | str) -> tuple[PhaseSettings,
     F = f(a1) + f(a1 + b2) + f(a2) - f(a2 + b2).  For fixed b2 the a1 and
     a2 terms separate: the grid maximum of F is max over b2 of
     h+(b2) + h-(b2), h+-(b2) = max_a f(a) +- f(a + b2), two circular
-    max-plus correlations of one vector in O(N^2) (_grid_start).  The grid
-    is one full period at spacing 1/16, N = 16 d; a fixed N grows coarse
-    with d and misses basins (N = 256 gives t2 at d = 29 2.3581, not
-    2.3644).  The best grid point starts one Newton ascent in (a1, a2, b2)
-    (_newton.newton_ascent).  f is a trigonometric polynomial of degree
-    d - 1 (_fourier_table), so f, f' and f'' at the four offset sums come
-    from one small matrix product, and with them F, its gradient and its
-    Hessian.  The ascent stops at a step below 1e-13 d.  Nothing is random.
-    The value is re-evaluated through the direct inner-product path at the
-    reduced phases, so it is a genuine lower bound on the quantum maximum.
+    max-plus correlations of one vector (_grid_start).  Since
+    h+(-b2) = h+(b2) and h-(-b2) = -min_a [f(a) - f(a + b2)], the shifts
+    0..N/2 give all N; they take O(N^2) time and, in blocks of a fixed
+    entry budget, O(N) memory.  The grid is one full period at spacing
+    1/16, N = 16 d; a fixed N grows coarse with d and misses basins
+    (N = 256 gives t2 at d = 29 2.3581, not 2.3644).  The best grid point
+    starts one Newton ascent in (a1, a2, b2) (_newton.newton_ascent).  f is
+    a trigonometric polynomial of degree d - 1 (_fourier_table), so f, f'
+    and f'' at the four offset sums come from one small matrix product, and
+    with them F, its gradient and its Hessian.  The ascent stops at a step
+    below 1e-13 d.  Nothing is random.  The value is re-evaluated through
+    the direct inner-product path at the reduced phases, so it is a genuine
+    lower bound on the quantum maximum.
     """
     if isinstance(preset, str):
         preset = BinningPreset(preset, d)

@@ -7,6 +7,7 @@ import os
 from functools import partial
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from binned_bell.qudit import (
     _binned_observables,
     _fourier_table,
     _grid_start,
+    _grid_values,
     _pair_derivatives,
     _phase_derivatives,
     _probability_matrix,
@@ -42,6 +44,7 @@ from binned_bell.qudit import (
     probability_kernel,
 )
 from reference_complex_search import complex_view
+from reference_grid_start import full_table_grid_start
 from reference_nelder_mead import nelder_mead_lockstep
 
 OPTIMAL_PHASES = PhaseSettings(0.0, 0.5, -0.25, 0.25)
@@ -685,6 +688,98 @@ class TestNewtonSearch:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         ).stdout
         assert out.strip() == "False"
+
+
+def eight_basis_bell_sum(d: int, coeffs: CoefficientTensor, phases: PhaseSettings) -> float:
+    """The direct Bell sum with two fourier_basis calls per setting pair."""
+    total = 0.0
+    for alpha, eps_a in ((phases.alpha1, coeffs.eps[0]), (phases.alpha2, coeffs.eps[1])):
+        for beta, eps_ab in zip((phases.beta1, phases.beta2), eps_a):
+            total += float((eps_ab * _probability_matrix(d, alpha, beta)).sum())
+    return total
+
+
+def random_sign_objective(rng: np.random.Generator, d: int) -> _KernelObjective:
+    return _KernelObjective(CoefficientTensor(d, rng.choice([-1, 1], size=(2, 2, d, d))))
+
+
+def assert_grid_start_matches_the_full_table(objective: _KernelObjective) -> None:
+    start, value = _grid_start(objective)
+    reference_start, reference_value = full_table_grid_start(objective)
+    assert value == reference_value, objective.d
+    assert start == reference_start, objective.d
+
+
+class TestReferenceIdentity:
+    """The blocked grid and the four-basis direct route keep the bits of the
+    full-table grid and of two fourier_basis calls per pair."""
+
+    @pytest.mark.parametrize("kind", ["t1", "t2", "t3"])
+    def test_grid_start_on_presets(self, kind):
+        for d in [*range(3 if kind == "t2" else 2, 33), 48, 64]:
+            assert_grid_start_matches_the_full_table(pair_function(kind, d)[0])
+
+    def test_grid_start_on_random_sign_tensors(self):
+        rng = np.random.default_rng(27)
+        for d in [*range(2, 41), 48, 64]:
+            for _ in range(20):
+                assert_grid_start_matches_the_full_table(random_sign_objective(rng, d))
+
+    @pytest.mark.parametrize("entries", [1, 100, 1000])
+    def test_grid_start_with_small_blocks(self, monkeypatch, entries):
+        # Many shift and column blocks, of unequal sizes, at small d.
+        monkeypatch.setattr(qudit, "_GRID_ENTRIES", entries)
+        rng = np.random.default_rng(entries)
+        for d in (2, 3, 5, 8, 13, 16):
+            assert_grid_start_matches_the_full_table(pair_function("t3", d)[0])
+            assert_grid_start_matches_the_full_table(random_sign_objective(rng, d))
+
+    def test_blocked_grid_values_equal_one_pair_value_call(self):
+        rng = np.random.default_rng(5)
+        objectives = [pair_function(kind, d)[0] for kind, d in ALL_PRESETS]
+        objectives += [random_sign_objective(rng, d)
+                       for d in [*range(2, 65), 100, 256] for _ in range(2)]
+        for objective in objectives:
+            t, fv = _grid_values(objective)
+            assert np.array_equal(fv, objective.pair_value(0, 0, t)), objective.d
+
+    def test_direct_route_equals_the_eight_basis_loop(self):
+        rng = np.random.default_rng(11)
+        for _ in range(1000):
+            d = int(rng.integers(2, 33))
+            coeffs = build_coefficients(random_preset_free_spec(rng, d))
+            phases = PhaseSettings(*rng.uniform(-3 * d, 3 * d, size=4))
+            assert bell_expectation(d, coeffs, phases) == eight_basis_bell_sum(d, coeffs, phases)
+
+    def test_grid_start_memory_stays_linear(self):
+        # The full N x N tables take 256 MB here (N = 4096).
+        objective = pair_function("t3", 256)[0]
+        tracemalloc.start()
+        try:
+            _grid_start(objective)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+
+# (5/2) sin(2 pi / 5), the t2 value at every d divisible by 4.
+T2_PLATEAU = 2.5 * math.sin(2 * math.pi / 5)
+
+
+class TestClosedForms:
+    def test_t2_plateau(self):
+        assert T2_PLATEAU == 2.3776412907378837
+        for k in range(1, 9):
+            assert abs(optimize_phases(4 * k, "t2")[1] - T2_PLATEAU) < 1e-14, k
+
+    @pytest.mark.parametrize("kind,p,dims", [("t1", 2, (4, 6, 16, 32)), ("t2", 4, (8, 12, 32))])
+    def test_period_folding(self, kind, p, dims):
+        # A subset of period p dividing d gives f_d = f_p.
+        t = np.linspace(0.0, 4.0, 1001)
+        base = pair_function(kind, p)[0].pair_value(0, 0, t)
+        for d in dims:
+            assert np.abs(pair_function(kind, d)[0].pair_value(0, 0, t) - base).max() < 1e-13, d
 
 
 def scipy_nelder_mead(func, x0, *, maxiter=4000, maxfev=8000):
