@@ -394,14 +394,11 @@ def _random_phases(rng: np.random.Generator) -> qudit.PhaseSettings:
 
 def _suite_normalization(rng, trials, mutate):
     """Fourier bases and truncated states, (d, offset, s, r) drawn first in
-    trial order; one broadcast fourier_basis call per chunk of one d."""
+    trial order; the bases' Gram residuals come from _gram_residuals."""
     draws = [(int(rng.integers(2, 11)), float(rng.uniform(-2, 2)),
               int(rng.integers(0, 50)) * 2 + 1, float(rng.uniform(0.01, 10.0)))
              for _ in range(trials)]
-    grams = np.empty(trials)
-    for d, chunk in _chunks([draw[0] for draw in draws]):
-        u = qudit.fourier_basis(d, np.array([draws[i][1] for i in chunk]))
-        grams[chunk] = np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(d)).max(axis=(-2, -1))
+    grams = _gram_residuals([draw[0] for draw in draws], [draw[1] for draw in draws])
     for (d, offset, s, r), gram in zip(draws, grams.tolist()):
         if gram > 1e-10:
             yield "normalization", f"basis d={d} offset={offset!r} gram residual {gram:.3e}"
@@ -410,19 +407,32 @@ def _suite_normalization(rng, trials, mutate):
             yield "normalization", f"tmss s={s} r={r!r} normalization error {error:.3e}"
 
 
+def _gram_residuals(dims: list[int], offsets: list[float]) -> np.ndarray:
+    """max |U^dagger U - 1| of each offset Fourier basis, one broadcast
+    fourier_basis call per chunk of one d."""
+    grams = np.empty(len(dims))
+    for d, chunk in _chunks(dims, exponent=2):
+        u = qudit.fourier_basis(d, np.array([offsets[i] for i in chunk]))
+        grams[chunk] = np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(d)).max(axis=(-2, -1))
+    return grams
+
+
 # A suite stacks its trials of one d into chunks of at most
-# max(1, _CHUNK_ENTRIES // d**4) trials, so a chunk's d^2 x d^2 arrays stay
-# small and peak memory does not grow with the trial count.
+# max(1, _CHUNK_ENTRIES // d**exponent) trials, where d**exponent is the size
+# of one trial's largest array: d^4 for the operator suite's d^2 x d^2
+# operators and the m-formula suite's d^4 value tables, d^2 for the
+# normalization suite's d x d bases.  A chunk's arrays stay small and peak
+# memory does not grow with the trial count.
 _CHUNK_ENTRIES = 5000
 
 
-def _chunks(dims: list[int]):
+def _chunks(dims: list[int], exponent: int = 4):
     """(d, trial indices) for the trials of each d, cut into chunks."""
     by_d: dict[int, list[int]] = {}
     for i, d in enumerate(dims):
         by_d.setdefault(d, []).append(i)
     for d, indices in by_d.items():
-        size = max(1, _CHUNK_ENTRIES // d**4)
+        size = max(1, _CHUNK_ENTRIES // d**exponent)
         for start in range(0, len(indices), size):
             yield d, indices[start:start + size]
 

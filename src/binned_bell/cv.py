@@ -26,6 +26,23 @@ which increases monotonically with the squeezing r and approaches the
 quantum bound 2 sqrt(2) as r -> infinity.  Inverting the closed form gives
 the minimum squeezing needed for a violation within delta of that bound.
 
+The reference angles are optimal at every r.  With h = (s+1)/2,
+Pi(theta)[m, n] = e^{i(m-n) theta} (1/(s+1)) sum_k e^{2 pi i k (m-n+h)/(s+1)}
+vanishes unless m - n = +-h, where it is e^{+-i h theta}.  So on the
+Schmidt form sum_n c_n |n, n> each correlation is
+
+    E(theta, phi) = sum_{m,n} c_m c_n Pi(theta)[m, n] Pi(phi)[m, n]
+                  = C cos(h (theta + phi)),
+    C = 2 sum_{n<h} c_n c_{n+h} = 2 tanh^h r / (1 + tanh^(s+1) r) >= 0.
+
+The Bell combination is C times cos(x+y) + cos(x+y') + cos(x'+y) -
+cos(x'+y') with x = h theta, y = h phi and so on.  Each cosine is the dot
+product of the plane unit vectors at angles x and -y, so this is a CHSH sum
+that no angles lift above 2 sqrt(2), and the reference angles reach it.
+So B(s, r) = 2 sqrt(2) C is the maximum over all four angles, and
+squeezing_threshold and violation_boundary_r give the least squeezing over
+every choice of angles.
+
 For comparison, the displaced-parity test measures parity after a Glauber
 displacement, Pi(alpha) = D(alpha) P D(alpha)^dagger = D(2 alpha) P, on the
 same two-mode squeezed state.  Its best value saturates near 2.32, short of
@@ -44,8 +61,11 @@ exact derivatives over real displacements, and never builds a matrix; a
 complex search from its starts stays on the real slice, so complex
 displacements select the same search.  The independent
 reference that re-checks each returned optimum (displaced_parity_matrix,
-bw_bell_value) exponentiates the truncated generator instead, through one
-real tridiagonal eigendecomposition per Bell value.
+bw_bell_value) exponentiates the truncated generator instead.  Its real
+tridiagonal generator couples even levels only to odd ones, so one SVD of
+the half-size even-odd block gives the spectrum, and bw_bell_value contracts
+the Schmidt form through two half-size Gram products without building any
+parity matrix.
 """
 
 from __future__ import annotations
@@ -105,8 +125,8 @@ class FockCutoffError(ValueError):
 
     Raised when the untruncated state carries DEFAULT_TAIL_MASS or more
     beyond the cutoff.  The message names the cutoff that would suffice; the
-    displaced-parity reference builds dense (cutoff+1)^2 matrices, which
-    bounds the practical squeezing (see required_fock_cutoff).
+    displaced-parity reference's cost grows like the cube of the cutoff,
+    which bounds the practical squeezing (see required_fock_cutoff).
     """
 
 
@@ -340,10 +360,11 @@ def required_fock_cutoff(r: float) -> int:
     """Smallest Fock cutoff keeping the squeezed-state tail below DEFAULT_TAIL_MASS.
 
     The cutoff grows like exp(2r) for large r.  The displaced-parity
-    reference builds dense (cutoff+1)^2 matrices from one eigendecomposition
-    of that size: at r = 3 (cutoff 2,322) one bw_bell_value call takes
-    about 5 s and up to 0.4 GB on one CPU core with single-threaded BLAS, and
-    r = 5 already asks for 126,794.
+    reference takes one SVD of a half-size block of the generator and two
+    half-size products (see bw_bell_value): at r = 3 (cutoff 2,322) one
+    bw_bell_value call takes about 1 s and 0.12 GB with real settings, and
+    2 s and 0.15 GB with complex ones, on one CPU core with single-threaded
+    BLAS; r = 5 already asks for 126,794.
     """
     r = _as_squeezing(r)
     t = math.tanh(r)
@@ -370,8 +391,8 @@ def _check_fock_cutoff(cutoff_fock: int, r: float) -> int:
             f"Fock cutoff {cutoff_fock} leaves tail mass "
             f"{tmss_tail_mass(cutoff_fock, r):.3e} >= {DEFAULT_TAIL_MASS:.3e} at r={r}; "
             f"use cutoff >= {required_fock_cutoff(r)} (the displaced-parity "
-            f"reference builds dense (cutoff+1)^2 matrices; at r = 3, cutoff 2,322, "
-            f"one evaluation takes about 5 s and up to 0.4 GB)"
+            f"reference's cost grows like (cutoff+1)^3; at r = 3, cutoff 2,322, "
+            f"one evaluation takes about 1 s and up to 0.15 GB)"
         )
     return cutoff_fock
 
@@ -386,50 +407,49 @@ def _tmss_amplitudes(cutoff_fock: int, r: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=1)
 def _displacement_spectrum(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (lam, V, signs) shared by every displaced parity in one Fock space.
+    """Read-only (sigma, U, W) shared by every displaced parity in one Fock space.
 
-    The last dimension's spectrum is kept, so consecutive reference checks
-    at one cutoff (the free and anchored searches at one r) share one eigh;
-    it holds dim^2 floats, 0.8 MB at r = 2 and 43 MB at r = 3.
+    T, the real symmetric tridiagonal matrix with off-diagonals sqrt(n),
+    couples even levels only to odd ones: T = [[0, B], [B^T, 0]] in the
+    (even, odd) ordering, with B = T[0::2, 1::2] lower bidiagonal,
+    ceil(dim/2) x floor(dim/2).  One SVD B = U diag(sigma) W^T gives the
+    whole spectrum: [u; +-w]/sqrt(2) are eigenvectors of T with eigenvalues
+    +-sigma.  For odd dim the unpaired zero mode [u; 0] adds a 0 to sigma
+    and a zero column to W, so sigma, U and W all have ceil(dim/2) columns.
 
-    T = V diag(lam) V^T, and exp(x (a^dagger - a)) = S exp(-i x T) S^dagger.
-    T couples n only to n +/- 1, so cos(x T) lives on even m - n and
-    sin(x T) on odd m - n, and conjugation by S = diag(i^n) turns
-    V (cos + sin)(x lam) V^T into exp(x (a^dagger - a)) once entry (m, n)
-    is multiplied by +1 where (m - n) mod 4 is 0 or 1 and by -1 otherwise.
-    That pattern times the parity (-1)^n of column n is the same for rows m
-    and m + 4, so signs holds only its first four rows: row m of the matrix
-    takes signs[m % 4].
+    The SVD is taken of the square matrix B^T, with a zero row appended for
+    odd dim; that row gives the zero mode a singular value and a W column
+    that vanish to rounding.  Over random settings at cutoffs 1-314 this keeps bw_bell_value within
+    8.3e-15 of the dense route; an SVD of the tall B gave 1.6e-14, at odd
+    dim, and one of the unpadded B^T moved the r = 0.1 optimum at cutoff 8
+    by 6 ulps.
+
+    The last dimension's decomposition is kept, so consecutive reference
+    checks at one cutoff (the free and anchored searches at one r) share one
+    SVD; it holds about dim^2/2 floats, 0.4 MB at r = 2 and 22 MB at r = 3.
     """
-    n = np.arange(dim)
-    off = np.sqrt(n[1:].astype(float))
-    lam, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    signs = np.where((n[:4, None] - n) % 4 < 2, 1.0, -1.0) * (-1.0) ** n
-    for array in (lam, v, signs):
+    half, pairs = (dim + 1) // 2, dim // 2
+    bt = np.zeros((half, half))
+    j = np.arange(pairs)
+    bt[j, j] = np.sqrt(2.0 * j + 1.0)
+    j = j[: half - 1]
+    bt[j, j + 1] = np.sqrt(2.0 * j + 2.0)
+    w, sigma, ut = np.linalg.svd(bt)
+    u, w = ut.T, w[:pairs]
+    for array in (sigma, u, w):
         array.setflags(write=False)
-    return lam, v, signs
+    return sigma, u, w
 
 
-def _displaced_parity(lam: np.ndarray, v: np.ndarray, signs: np.ndarray,
-                      alpha: complex) -> np.ndarray:
-    # D(2|alpha|) P from the shared spectrum, then D(2 alpha) P =
-    # R D(2|alpha|) P R^dagger with R = diag(e^{i n arg alpha}), which
-    # commutes with P; for negative real alpha R = diag((-1)^n) exactly.
+def _signed_polar(alpha: complex) -> tuple[float, float]:
+    # alpha = rho e^{i phi} with rho signed and phi in (-pi/2, pi/2]; real
+    # alpha, of either sign, has phi = 0 and rho = alpha.
     alpha = complex(alpha)
-    theta = 2.0 * abs(alpha) * lam
-    matrix = (v * (np.cos(theta) + np.sin(theta))) @ v.T
-    for k, row in enumerate(signs):
-        matrix[k::4] *= row
-    if alpha.imag == 0.0 and alpha.real >= 0.0:
-        return matrix
-    n = np.arange(lam.size)
     if alpha.imag == 0.0:
-        rotation = (-1.0) ** n
-    else:
-        rotation = np.exp(1j * math.atan2(alpha.imag, alpha.real) * n)
-    matrix = rotation[:, None] * matrix
-    matrix *= rotation.conj()
-    return matrix
+        return alpha.real, 0.0
+    if alpha.real == 0.0:
+        return alpha.imag, math.pi / 2.0
+    return math.copysign(abs(alpha), alpha.real), math.atan(alpha.imag / alpha.real)
 
 
 def displaced_parity_matrix(cutoff_fock: int, alpha: complex) -> np.ndarray:
@@ -439,13 +459,39 @@ def displaced_parity_matrix(cutoff_fock: int, alpha: complex) -> np.ndarray:
     truncation, so the product collapses exactly to D(2 alpha) P.  D(2 alpha)
     is the exponential of the truncated generator 2(alpha a^dagger -
     alpha^* a).  With S = diag(i^n), a^dagger - a = S (-i T) S^dagger for
-    the real symmetric tridiagonal T with off-diagonals sqrt(n), so one
-    eigendecomposition of T gives D(2|alpha|), and R = diag(e^{i n arg alpha})
-    rotates it to D(2 alpha) = R D(2|alpha|) R^dagger.  This is the
-    reference route, independent of the closed form the searches use.  Real
-    alpha (no imaginary part) gives a float64 matrix, any other a complex one.
+    the tridiagonal T of _displacement_spectrum, so for real x
+
+        D(2x) P = Sigma o (V (cos + sin)(x Lambda) V^T),  T = V Lambda V^T,
+
+    where Sigma[m, n] = +-1 (+1 where (m - n) mod 4 is 0 or 1, times the
+    parity (-1)^n) and o is the entrywise product.  In the (even, odd)
+    blocks V (cos + sin)(x Lambda) V^T is U C U^T, U S W^T, W S U^T and
+    W C W^T, with C = diag(cos(x sigma)) and S = diag(sin(x sigma)).
+    Writing alpha = rho e^{i phi} with rho signed and phi in (-pi/2, pi/2],
+    R = diag(e^{i n phi}) rotates D(2 rho) P to D(2 alpha) P = R D(2 rho) P
+    R^dagger.  This is the reference route, independent of the closed form
+    the searches use.  Real alpha (no imaginary part) gives a float64
+    matrix, any other a complex one.
     """
-    return _displaced_parity(*_displacement_spectrum(_as_fock_cutoff(cutoff_fock) + 1), alpha)
+    dim = _as_fock_cutoff(cutoff_fock) + 1
+    sigma, u, w = _displacement_spectrum(dim)
+    rho, phi = _signed_polar(alpha)
+    cos, sin = np.cos(2.0 * rho * sigma), np.sin(2.0 * rho * sigma)
+    matrix = np.empty((dim, dim))
+    matrix[0::2, 0::2] = (u * cos) @ u.T
+    matrix[0::2, 1::2] = (u * sin) @ w.T
+    matrix[1::2, 0::2] = matrix[0::2, 1::2].T
+    matrix[1::2, 1::2] = (w * cos) @ w.T
+    n = np.arange(dim)
+    # Sigma's rows m and m + 4 are equal, so four rows of signs cover it.
+    for k, row in enumerate(np.where((n[:4, None] - n) % 4 < 2, 1.0, -1.0) * (-1.0) ** n):
+        matrix[k::4] *= row
+    if phi == 0.0:
+        return matrix
+    rotation = np.exp(1j * phi * n)
+    matrix = rotation[:, None] * matrix
+    matrix *= rotation.conj()
+    return matrix
 
 
 def _parity_correlation(r: float, alpha, beta):
@@ -459,6 +505,20 @@ def _parity_correlation(r: float, alpha, beta):
                   + 4.0 * s * np.real(alpha * beta))
 
 
+def _gram_kernels(u: np.ndarray, w: np.ndarray, c: np.ndarray,
+                  psi: float) -> tuple[np.ndarray, np.ndarray]:
+    # |X|^2 + |Y|^2 and 2 Re(X o conj(Y)) for X = U^T diag(c_even) U and
+    # Y = W^T diag(c_odd) W, with c_n rotated by e^{i n psi}; X and Y are
+    # formed as real and imaginary parts, so real settings take one product
+    # per block and complex ones two.
+    n = np.arange(c.size)
+    parts = [c] if psi == 0.0 else [c * np.cos(psi * n), c * np.sin(psi * n)]
+    xs = [(u.T * part[0::2]) @ u for part in parts]
+    ys = [(w.T * part[1::2]) @ w for part in parts]
+    squares = sum(x * x for x in xs) + sum(y * y for y in ys)
+    return squares, 2.0 * sum(x * y for x, y in zip(xs, ys))
+
+
 def bw_bell_value(
     cutoff_fock: int,
     r: float,
@@ -467,23 +527,38 @@ def bw_bell_value(
 ) -> float:
     """Displaced-parity Bell value at explicit displacement settings.
 
-    Builds the two parity matrices per party from the truncated generator,
-    all four from one shared eigendecomposition (see
-    displaced_parity_matrix), and contracts through the Schmidt form;
-    serves as the reference route for the closed-form search.  A second
-    call at the same cutoff reuses the decomposition (_displacement_spectrum).
+    The reference route for the closed-form search: the parity matrices of
+    displaced_parity_matrix, contracted through the Schmidt form
+    sum_{m,n} c_m c_n A[m,n] B[m,n], without forming any dim x dim matrix.
+    The sign pattern Sigma is the same for both parties and Sigma o Sigma
+    = 1, so for real settings the contraction is sum_{i,j} f_a,i f_b,j
+    V_i^T diag(c) V_j squared, f_x = (cos + sin)(2 x Lambda).  In the
+    (sigma, U, W) of _displacement_spectrum that is
+
+        E(alpha, beta) = cos_a^T (X o X + Y o Y) cos_b
+                         + 2 sin_a^T (X o Y) sin_b,
+
+    with cos_x = cos(2 x sigma), sin_x = sin(2 x sigma), X = U^T diag(c_even) U
+    and Y = W^T diag(c_odd) W: two half-size products.  Complex settings
+    alpha = rho e^{i phi} (rho signed, phi in (-pi/2, pi/2]) enter as c_n
+    e^{i n (phi_alpha + phi_beta)}, with |X|^2, |Y|^2 and Re(X o conj(Y))
+    in place of the squares.  A second call at the same cutoff reuses the
+    decomposition (_displacement_spectrum).
     """
     cutoff_fock = _check_fock_cutoff(cutoff_fock, r)
     c = _tmss_amplitudes(cutoff_fock, r)
-    spectrum = _displacement_spectrum(cutoff_fock + 1)
-    pb = [_displaced_parity(*spectrum, beta) for beta in betas]
-    e = []
-    for alpha in alphas:
-        # One alpha matrix at a time, freed before the next one is built.
-        pa = _displaced_parity(*spectrum, alpha)
-        e += [_schmidt_correlation(c, pa, q) for q in pb]
-        del pa
-    return e[0] + e[1] + e[2] - e[3]
+    sigma, u, w = _displacement_spectrum(cutoff_fock + 1)
+    psi, e = None, []
+    for rho_a, phi_a in map(_signed_polar, alphas):
+        for rho_b, phi_b in map(_signed_polar, betas):
+            # Real settings share one pair of kernels; complex ones take one
+            # pair per phase sum, built only when the sum changes.
+            if phi_a + phi_b != psi:
+                psi = phi_a + phi_b
+                squares, cross = _gram_kernels(u, w, c, psi)
+            e.append(np.cos(2.0 * rho_a * sigma) @ squares @ np.cos(2.0 * rho_b * sigma)
+                     + np.sin(2.0 * rho_a * sigma) @ cross @ np.sin(2.0 * rho_b * sigma))
+    return float(e[0] + e[1] + e[2] - e[3])
 
 
 def _grid_starts(r: float, anchor_zero: bool, grid_radius: float, count: int) -> np.ndarray:

@@ -17,6 +17,7 @@ from binned_bell._newton import newton_ascent
 from binned_bell.lr_polytope import _chsh_table, build_coefficients
 from binned_bell.qudit import BinningPreset, PhaseSettings, bell_expectation
 from binned_bell.cv import (
+    DEFAULT_TAIL_MASS,
     SQRT8,
     AngleDegeneracyWarning,
     CvScenario,
@@ -47,6 +48,7 @@ from reference_complex_search import (
     complex_view,
 )
 from reference_nelder_mead import nelder_mead_lockstep
+import reference_displaced_parity as dense
 
 # Frozen closed-form oracle: s=9, r=2 evaluates the explicit expression.
 S9_R2 = 4.0 * math.sqrt(2.0) * math.tanh(2.0) ** 5 / (1.0 + math.tanh(2.0) ** 10)
@@ -186,6 +188,30 @@ class TestContractionAgreement:
                 scn = CvScenario.with_reference_angles(s, r)
                 assert abs(cv_bell_expectation(scn) - tmss_bell_closed_form(s, r)) < 1e-10
 
+    def test_every_angle_gives_a_chsh_cosine(self):
+        # Pi(theta) has entries only on m - n = +-h, h = (s+1)/2, so each
+        # correlation is C cos(h(theta + phi)) with C = B(s, r) / 2 sqrt 2,
+        # and no choice of angles exceeds the closed form B(s, r).  The
+        # phases n theta round to about n |theta| ulps, n <= s.
+        rng = np.random.default_rng(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AngleDegeneracyWarning)
+            for _ in range(400):
+                s = 2 * int(rng.integers(0, 20)) + 1
+                r = float(rng.uniform(0.01, 5.0))
+                angles = rng.uniform(-math.pi, math.pi, size=4).tolist()
+                theta, theta_p, phi, phi_p = angles
+                closed = tmss_bell_closed_form(s, r)
+
+                def e(x, y):
+                    return closed / SQRT8 * math.cos((s + 1) / 2 * (x + y))
+
+                value = cv_bell_expectation(CvScenario(s, r, *angles))
+                expected = e(theta, phi) + e(theta, phi_p) + e(theta_p, phi) - e(theta_p, phi_p)
+                tolerance = 4.0 * (s + 1) * max(map(abs, angles)) * np.finfo(float).eps
+                assert abs(value - expected) <= tolerance, (s, r, angles)
+                assert value <= closed + 1e-14
+
     def test_discrete_consistency_at_strong_squeezing(self):
         # r -> infinity turns the state into the (s+1)-dimensional maximally
         # entangled state and the reference angles into the sharp-binning
@@ -265,25 +291,33 @@ class TestDisplacedParity:
         assert np.max(np.abs(op - scipy.linalg.expm(generator) * signs)) < 1e-13
 
     def test_bell_value_takes_one_eigendecomposition(self, monkeypatch):
-        # The four displaced parities share one spectrum of the generator.
-        shapes = []
-        eigh = np.linalg.eigh
+        # The four correlations share one SVD of T's odd-even block B^T,
+        # padded square, which gives the eigendecomposition of T; no eigh of
+        # the full T runs.
+        calls = []
 
-        def counting_eigh(matrix, *args, **kwargs):
-            shapes.append(matrix.shape)
-            return eigh(matrix, *args, **kwargs)
+        def counting(name, function):
+            def counted(matrix, *args, **kwargs):
+                calls.append((name, matrix.shape))
+                return function(matrix, *args, **kwargs)
+            return counted
+
+        def svd_of(dim):
+            return ("svd", ((dim + 1) // 2, (dim + 1) // 2))
 
         cv._displacement_spectrum.cache_clear()
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+        monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
         cutoff = required_fock_cutoff(0.8)
+        assert cutoff % 2 == 0  # an odd Fock dimension, then an even one
         bw_bell_value(cutoff, 0.8, (0.1, -0.2 + 0.1j), (0.0, -0.3))
-        assert shapes == [(cutoff + 1, cutoff + 1)]
-        # The last cutoff's spectrum is kept: a second check there, as the
-        # anchored search makes after the free one, runs no eigh.
+        assert calls == [svd_of(cutoff + 1)]
+        # The last cutoff's decomposition is kept: a second check there, as
+        # the anchored search makes after the free one, runs no SVD.
         bw_bell_value(cutoff, 0.8, (0.0, 0.2), (0.1, -0.1))
-        assert shapes == [(cutoff + 1, cutoff + 1)]
+        assert calls == [svd_of(cutoff + 1)]
         bw_bell_value(cutoff + 1, 0.8, (0.0, 0.2), (0.1, -0.1))
-        assert shapes == [(cutoff + 1, cutoff + 1), (cutoff + 2, cutoff + 2)]
+        assert calls == [svd_of(cutoff + 1), svd_of(cutoff + 2)]
         for array in cv._displacement_spectrum(cutoff + 2):
             assert not array.flags.writeable
 
@@ -390,6 +424,76 @@ class TestDisplacedParity:
         complex_value = bw_bell_value(cutoff, r, tuple(z[:2]), tuple(z[2:]))
         assert complex_value <= real_value + 1e-6
         assert abs(complex_value - real_value) < 1e-3
+
+
+def admissible_r(cutoff: int, rng: np.random.Generator) -> float:
+    """A squeezing drawn below the largest r whose tail mass the cutoff admits."""
+    return float(rng.uniform(0.0, math.atanh(DEFAULT_TAIL_MASS ** (0.5 / (cutoff + 1)))))
+
+
+def random_settings(rng: np.random.Generator, r: float, kind: str) -> np.ndarray:
+    """(alpha, alpha', beta, beta') in the search box: real, negative or complex."""
+    z = rng.uniform(-search_box(r), search_box(r), size=4)
+    if kind == "negative":
+        return -np.abs(z)
+    if kind == "complex":
+        return z + 1j * rng.uniform(-search_box(r), search_box(r), size=4)
+    return z
+
+
+# The optima of the perfbench cv-parity workload: (r, anchor_zero, restarts).
+CV_PARITY_OPTIMA = [(r, anchor, 3) for r in (0.8, 1.2, 1.6, 2.0) for anchor in (False, True)]
+CV_PARITY_OPTIMA += [(0.6, False, 3), (0.6, False, 0), (0.8, False, 0)]
+
+
+class TestDenseReference:
+    """The contraction route against the dense matrices it replaced.
+
+    The values are held to 1e-14.  The largest gap here is 6.9e-15, and
+    8.3e-15 over eight more seeds of the same draws at cutoffs 1-314.  An
+    SVD of the tall B in place of the padded B^T gave 1.6e-14 there, at odd
+    Fock dimensions.
+    """
+
+    # Every cutoff to 40, then a stride to 314, the largest the searches
+    # use (r = 2.0); both parities of the Fock dimension throughout.
+    CUTOFFS = list(range(1, 41)) + list(range(41, 315, 9)) + [313, 314]
+
+    @pytest.mark.parametrize("kind", ["real", "negative", "complex"])
+    def test_bell_value_matches_dense_matrices(self, kind):
+        rng = np.random.default_rng(["real", "negative", "complex"].index(kind) + 90)
+        for cutoff in self.CUTOFFS:
+            r = admissible_r(cutoff, rng)
+            z = random_settings(rng, r, kind)
+            args = (cutoff, r, tuple(z[:2]), tuple(z[2:]))
+            assert abs(bw_bell_value(*args) - dense.bell_value(*args)) <= 1e-14, args
+
+    def test_bell_value_matches_dense_matrices_at_cv_parity_optima(self):
+        for r, anchor_zero, restarts in CV_PARITY_OPTIMA:
+            z = _best_displacements(r, anchor_zero, restarts)
+            args = (required_fock_cutoff(r), r, tuple(z[:2]), tuple(z[2:]))
+            assert abs(bw_bell_value(*args) - dense.bell_value(*args)) <= 1e-14, args
+
+    def test_mixed_phases_match_dense_matrices(self):
+        # Phase sums that repeat, vanish and change between the four terms,
+        # purely imaginary settings and the second and third quadrants.
+        settings = [((0.3j, -0.2), (0.1 - 0.2j, -0.4j)),
+                    ((-0.3 + 0.1j, 0.2 - 0.1j), (0.3 - 0.1j, -0.2 + 0.1j)),
+                    ((-0.25 - 0.1j, 0.0), (0.0, 0.15 + 0.2j))]
+        for cutoff in (27, 28):
+            for alphas, betas in settings:
+                args = (cutoff, 0.5, alphas, betas)
+                assert abs(bw_bell_value(*args) - dense.bell_value(*args)) <= 1e-14, args
+
+    def test_parity_matrix_matches_dense_matrices(self):
+        rng = np.random.default_rng(93)
+        for cutoff in self.CUTOFFS[::3]:
+            for kind in ("real", "negative", "complex"):
+                for alpha in random_settings(rng, admissible_r(cutoff, rng), kind)[:2]:
+                    op = displaced_parity_matrix(cutoff, alpha)
+                    expected = dense.displaced_parity(cutoff, alpha)
+                    assert op.dtype == expected.dtype
+                    assert np.max(np.abs(op - expected)) <= 1e-13, (cutoff, alpha)
 
 
 class TestSpectralDisplacement:

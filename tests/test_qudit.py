@@ -394,6 +394,41 @@ class TestStackedKernels:
             assert counts.tolist() == [count_max_configs(build_coefficients(s)) for s in group]
 
 
+def certify_normalization_draws(seed: int, trials: int) -> list:
+    """(d, offset, s, r) of each normalization-suite trial of certify --seed --trials."""
+    rng = np.random.default_rng(seed)
+    return [(int(rng.integers(2, 11)), float(rng.uniform(-2, 2)),
+             int(rng.integers(0, 50)) * 2 + 1, float(rng.uniform(0.01, 10.0)))
+            for _ in range(trials)]
+
+
+class TestNormalizationChunks:
+    """The normalization suite stacks its d x d bases in chunks sized from d^2."""
+
+    def test_large_d_chunks_hold_several_trials(self, monkeypatch):
+        calls = []
+
+        def counted(d, offset):
+            calls.append((d, len(offset)))
+            return fourier_basis(d, offset)
+
+        monkeypatch.setattr(qudit, "fourier_basis", counted)
+        draws = certify_normalization_draws(7, 100)
+        assert list(cli._suite_normalization(np.random.default_rng(7), 100, False)) == []
+        # One call per d: every d's trials fit one chunk.
+        assert sorted(calls) == sorted({d: sum(draw[0] == d for draw in draws)
+                                        for d, _, _, _ in draws}.items())
+        assert all(n > 1 for d, n in calls if d >= 8)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_chunked_residuals_equal_one_trial_residuals(self, seed):
+        draws = certify_normalization_draws(seed, 200)
+        grams = cli._gram_residuals([d for d, _, _, _ in draws], [x for _, x, _, _ in draws])
+        for (d, offset, _, _), gram in zip(draws, grams.tolist()):
+            u = fourier_basis(d, offset)
+            assert np.abs(u.conj().T @ u - np.eye(d)).max() == gram
+
+
 class TestPresets:
     def test_subsets(self):
         assert BinningPreset("t1", 6).subset() == (0, 2, 4)
