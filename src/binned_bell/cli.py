@@ -188,8 +188,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                         help="seed of certify's random trials (the other subcommands "
                              "are deterministic and ignore it)")
     common.add_argument("--guard-d", type=int, default=lr.DEFAULT_ENUMERATION_LIMIT,
-                        help="upper bound on dimensions that trigger enumeration or "
-                             "optimization (default %(default)s)")
+                        help="largest d that scan-qudit and tightness accept "
+                             "(default %(default)s)")
     common.add_argument("--config", default=None,
                         help="key=value file supplying flag defaults")
 
@@ -212,7 +212,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = subparsers["tightness"] = sub.add_parser(
         "tightness", parents=[common],
-        help="enumeration certificate for one binned inequality")
+        help="rank certificate of one binned inequality from its four maximizer boxes")
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--preset", choices=qudit.BinningPreset._KINDS, default=None)
     for flag in ("--r1", "--r2", "--s1", "--s2"):

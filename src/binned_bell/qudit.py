@@ -10,11 +10,12 @@ joint probability depends on x = k + l + alpha_a + beta_b only:
 
     P_ab(k, l) = sin^2(pi x) / (d^3 sin^2(pi x / d)),   -> 1/d as x -> 0 mod d.
 
-Probabilities are always computed from explicit state/basis inner products;
-the closed-form kernel above is a fast path that must agree with the direct
-computation to 1e-10 and seeds the phase optimizer's grid.  The kernel is
-the Fejer kernel, so each Bell-sum term is a trigonometric polynomial of
-degree d - 1, whose exact derivatives drive the optimizer's Newton ascent.
+The reference route computes probabilities from explicit state/basis inner
+products.  The kernel above is the Fejer kernel, so each Bell-sum term is a
+trigonometric polynomial of degree d - 1 whose coefficients come from one
+FFT.  That Fourier form is the fast route: it must agree with the direct
+computation to 1e-10, and it gives the phase optimizer its grid (one more
+FFT) and the exact derivatives of its Newton ascent.
 For the parity binning (even outcomes, preset T1) and even d the Bell sum
 collapses to
 
@@ -107,11 +108,14 @@ def probability_kernel(d: int, x) -> np.ndarray:
     """Closed-form joint probability sin^2(pi x) / (d^3 sin^2(pi x / d)).
 
     x = k + l + alpha_a + beta_b; the kernel has period d and is 1/d within
-    1e-9 of a multiple of d.  One np.sin gives both sines; every value is
-    elementwise, so no value depends on the shape of the array around it.
+    1e-9 of a multiple of d.  x is folded exactly to x - d round(x / d), so
+    beside a multiple of d both sines see the small distance (np.mod would
+    leave x near d, and each sine an error of ulp(pi d)).  One np.sin gives
+    both sines; every value is elementwise, whatever the array's shape.
     """
-    x = np.mod(np.asarray(x, dtype=float), d)
-    near = np.minimum(x, d - x) < 1e-9
+    x = np.asarray(x, dtype=float)
+    x = x - d * np.round(x / d)
+    near = np.abs(x) < 1e-9
     sines = np.empty((2,) + x.shape)
     num, den = sines[0, ...], sines[1, ...]
     np.divide(np.multiply(np.pi, x, out=num), d, out=den)
@@ -133,15 +137,20 @@ def bell_expectation(
 
     method="direct" evaluates probabilities from basis inner products
     (the reference path), with the four bases from one fourier_basis call
-    and the pairs summed in the order 11, 12, 21, 22; method="kernel" uses
-    the optimizer's closed-form objective.  The two agree to 1e-10.
+    and the pairs summed in the order 11, 12, 21, 22; method="kernel" sums
+    f_ab(alpha_a + beta_b) in the same order, each from the Fourier form the
+    optimizer uses (_pair_sums, _fourier_table, _pair_derivatives).  The
+    two agree to 1e-10.
     """
     if coeffs.d != d:
         raise ValueError(f"coefficient tensor has d={coeffs.d}, expected {d}")
     if method not in ("direct", "kernel"):
         raise ValueError(f"unknown method {method!r}")
     if method == "kernel":
-        return float(_KernelObjective(coeffs)(phases.as_array()))
+        x = phases.as_array()
+        offset_sums = (x[:2, None] + x[2:]).ravel()
+        return float(sum(_pair_derivatives(_fourier_table(c), [t])[0, 0]
+                         for c, t in zip(_pair_sums(coeffs).reshape(4, d), offset_sums)))
     bases = fourier_basis(d, phases.as_array())
     total = 0.0
     for a in (0, 1):
@@ -301,48 +310,17 @@ def _spectral_norms(operators: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.eigvalsh(operators)).max(axis=-1)
 
 
-class _KernelObjective:
-    """Closed-form Bell sum, the kernel route of bell_expectation.
+def _pair_sums(coeffs: CoefficientTensor) -> np.ndarray:
+    """c[a, b, s]: the sum of eps_ab(k, l) over k + l = s (mod d).
 
-    Since the kernel depends on k + l only, the Bell sum collapses to
-    sum_ab f_ab(t_ab) with t_ab = alpha_a + beta_b and
-    f_ab(t) = sum_s c_ab(s) K(s + t), where c_ab(s) sums eps_ab over
-    k + l = s (mod d).  __call__ makes one kernel call against s = 0..d-1
-    for points (..., 4).  The kernel is elementwise, and each f_ab stays one
-    BLAS dot product of two contiguous rows (a stacked (1, d) @ (d, 1)
-    matmul), summed in the order f11 + f12 + f21 + f22, so every value is
-    bit-identical to the four pair_value calls at that point, whatever the
-    batch around it.
+    The kernel depends on k + l only, so the Bell sum collapses to
+    sum_ab f_ab(alpha_a + beta_b) with f_ab(t) = sum_s c[a, b, s] K(s + t).
     """
-
-    def __init__(self, coeffs: CoefficientTensor):
-        d = coeffs.d
-        self.d = d
-        k = np.arange(d)
-        idx = (k[:, None] + k[None, :]) % d
-        self._c = np.empty((2, 2, d))
-        for a in range(2):
-            for b in range(2):
-                self._c[a, b] = np.bincount(
-                    idx.ravel(), weights=coeffs.eps[a, b].ravel().astype(float), minlength=d
-                )
-        self._s = k.astype(float)
-
-    def pair_value(self, a: int, b: int, t) -> np.ndarray:
-        """f_ab evaluated at one or many offset sums t."""
-        t = np.asarray(t, dtype=float)
-        kern = probability_kernel(self.d, self._s[:, None] + t.ravel()[None, :])
-        out = self._c[a, b] @ kern
-        return out.reshape(t.shape)
-
-    def __call__(self, x) -> np.ndarray:
-        """Bell sum at each point x[..., :] = (alpha1, alpha2, beta1, beta2)."""
-        x = np.asarray(x, dtype=float)
-        # t[..., 2a + b] = alpha_a + beta_b: a1+b1, a1+b2, a2+b1, a2+b2.
-        t = (x[..., :2, None] + x[..., None, 2:]).reshape(x.shape[:-1] + (4,))
-        kern = probability_kernel(self.d, t[..., None] + self._s)
-        f = np.matmul(kern[..., None, :], self._c.reshape(4, self.d, 1))[..., 0, 0]
-        return f[..., 0] + f[..., 1] + f[..., 2] + f[..., 3]
+    d = coeffs.d
+    k = np.arange(d)
+    s = ((k[:, None] + k) % d).ravel()
+    sums = [np.bincount(s, weights=e.ravel(), minlength=d) for e in coeffs.eps.reshape(4, d, d)]
+    return np.reshape(sums, (2, 2, d))
 
 
 def _fourier_table(c: np.ndarray) -> np.ndarray:
@@ -354,14 +332,14 @@ def _fourier_table(c: np.ndarray) -> np.ndarray:
     F_m = (d - |m|) / d^3 sum_s c(s) e^{2 pi i m s / d}.  c is real, so
     F_-m is the conjugate of F_m, and f(t) = F_0 + sum_{m>0} 2 Re(F_m)
     cos(w_m t) - 2 Im(F_m) sin(w_m t); f' and f'' follow term by term.
+    The sums over s are the conjugates of np.fft.fft(c), so the table takes
+    O(d log d) time and O(d) memory.
     """
     d = c.size
     m = np.arange(d)
     w = 2.0 * np.pi * m / d
-    angle = 2.0 * np.pi * (np.outer(m, m) % d) / d
-    weight = np.where(m == 0, 1.0, 2.0) * (d - m) / d**3
-    cos_part = weight * (np.cos(angle) @ c)
-    sin_part = -weight * (np.sin(angle) @ c)
+    coef = np.where(m == 0, 1.0, 2.0) * (d - m) / d**3 * np.fft.fft(c)
+    cos_part, sin_part = coef.real, coef.imag
     return np.vstack([np.column_stack([cos_part, w * sin_part, -w**2 * cos_part]),
                       np.column_stack([sin_part, -w * cos_part, -w**2 * sin_part])])
 
@@ -377,29 +355,24 @@ def _pair_derivatives(table: np.ndarray, t) -> np.ndarray:
     return (np.hstack([np.cos(wt), np.sin(wt)])[:, None, :] @ table)[:, 0, :]
 
 
-# Entry budget of one block of the grid search: a pair_value call over a
-# block of grid points (d kernel entries each) or a block of shifts (N sums
-# or differences each).  The blocks bound _grid_start's memory at O(N).
+# Entry budget of one block of shifts in the grid search (N sums or
+# differences each).  The blocks bound _grid_start's memory at O(N).
 _GRID_ENTRIES = 1 << 14
 
 
-def _grid_values(objective: _KernelObjective) -> tuple[np.ndarray, np.ndarray]:
-    """Grid t_j = j d / N, N = 16 d, and fv[j] = f(t_j) = pair_value(0, 0, t_j).
+def _grid_values(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Grid t_j = j d / N, N = 16 d, and fv[j] = f(t_j), from one FFT of length N.
 
-    The kernel table is evaluated in blocks of _GRID_ENTRIES // d columns.
-    The block width is a multiple of 16, like N: a BLAS matrix-vector
-    product may round its last few rows (width mod 4) in another order, so
-    any other width could change bits against one pair_value call.
+    w_m t_j = 2 pi m j / N, so with the table's first column [a; b],
+    f(t_j) = sum_m a_m cos(2 pi m j / N) + b_m sin(2 pi m j / N), the real
+    part of the FFT of a + i b zero-padded to length N.
     """
-    d = objective.d
+    d = len(table) // 2
     n = 16 * d
-    t = np.arange(n) * (d / n)
-    width = max(16, _GRID_ENTRIES // d // 16 * 16)
-    blocks = [objective.pair_value(0, 0, t[i:i + width]) for i in range(0, n, width)]
-    return t, np.concatenate(blocks)
+    return np.arange(n) * (d / n), np.fft.fft(table[:d, 0] + 1j * table[d:, 0], n).real
 
 
-def _grid_start(objective: _KernelObjective) -> tuple[list[float], float]:
+def _grid_start(t: np.ndarray, fv: np.ndarray) -> tuple[list[float], float]:
     """Best point (a1, a2, b2) of the gauge-fixed grid t_j = j d / N, N = 16 d.
 
     With fv[j] = f(t_j), h+[m] = max_j fv[j] + fv[j+m] and h-[m] = max_j
@@ -407,8 +380,7 @@ def _grid_start(objective: _KernelObjective) -> tuple[list[float], float]:
     Returns (t[j+], t[j-], t[m]) and h+[m] + h-[m].
 
     Only the shifts m = 0..N/2 are evaluated, in blocks of
-    _GRID_ENTRIES // N shifts, and fv in blocks of _GRID_ENTRIES kernel
-    entries (_grid_values), so the search holds O(N + _GRID_ENTRIES)
+    _GRID_ENTRIES // N shifts, so the search holds O(N + _GRID_ENTRIES)
     floats, never an N x N table.  Two exact identities give the other
     shifts: h+[N-m] = h+[m], since floating-point addition is commutative,
     and h-[N-m] = -min_j (fv[j] - fv[j+m]), since a - b = -(b - a)
@@ -416,7 +388,6 @@ def _grid_start(objective: _KernelObjective) -> tuple[list[float], float]:
     expressions, so every bit of the start and its value is that of the
     full N x N tables (tests/reference_grid_start.py).
     """
-    t, fv = _grid_values(objective)
     n = fv.size
     half = n // 2
     ext = np.concatenate([fv, fv[:-1]])
@@ -459,8 +430,8 @@ def _phase_derivatives(table: np.ndarray, x: np.ndarray) -> tuple[float, np.ndar
 def optimize_phases(d: int, preset: BinningPreset | str) -> tuple[PhaseSettings, float]:
     """Best-found phases and Bell value for a binning preset.
 
-    Every preset uses one subset for R1, R2, S1 and S2, so the kernel
-    objective's pair functions are one f = f11 = f12 = f21 = -f22 (checked;
+    Every preset uses one subset for R1, R2, S1 and S2, so the pair
+    functions are one f = f11 = f12 = f21 = -f22 (_pair_sums; checked,
     ValueError otherwise).  Only the sums alpha_a + beta_b matter, so the
     gauge beta1 = 0 removes a flat direction and leaves
     F = f(a1) + f(a1 + b2) + f(a2) - f(a2 + b2).  For fixed b2 the a1 and
@@ -471,27 +442,26 @@ def optimize_phases(d: int, preset: BinningPreset | str) -> tuple[PhaseSettings,
     0..N/2 give all N; they take O(N^2) time and, in blocks of a fixed
     entry budget, O(N) memory.  The grid is one full period at spacing
     1/16, N = 16 d; a fixed N grows coarse with d and misses basins
-    (N = 256 gives t2 at d = 29 2.3581, not 2.3644).  The best grid point
-    starts one Newton ascent in (a1, a2, b2) (_newton.newton_ascent).  f is
-    a trigonometric polynomial of degree d - 1 (_fourier_table), so f, f'
-    and f'' at the four offset sums come from one small matrix product, and
-    with them F, its gradient and its Hessian.  The ascent stops at a step
-    below 1e-13 d.  Nothing is random.  The value is re-evaluated through
-    the direct inner-product path at the reduced phases, so it is a genuine
-    lower bound on the quantum maximum.
+    (N = 256 gives t2 at d = 29 2.3581, not 2.3644).  f is a trigonometric
+    polynomial of degree d - 1 whose coefficients come from one FFT
+    (_fourier_table), and the grid values from one more (_grid_values).  The
+    best grid point starts one Newton ascent in (a1, a2, b2)
+    (_newton.newton_ascent): f, f' and f'' at the four offset sums, and with
+    them F, its gradient and its Hessian, come from one small matrix
+    product.  The ascent stops at a step below 1e-13 d.  Nothing is random.
+    The value is re-evaluated through the direct inner-product path at the
+    reduced phases, so it is a genuine lower bound on the quantum maximum.
     """
     if isinstance(preset, str):
         preset = BinningPreset(preset, d)
     if preset.d != d:
         raise ValueError(f"preset has d={preset.d}, expected {d}")
     coeffs = build_coefficients(preset.to_binning_spec())
-    objective = _KernelObjective(coeffs)
-    c = objective._c
-    if not (np.array_equal(c[0, 1], c[0, 0]) and np.array_equal(c[1, 0], c[0, 0])
-            and np.array_equal(c[1, 1], -c[0, 0])):
+    c = _pair_sums(coeffs)
+    if not np.all(_PAIR_SIGNS[:, None] * c.reshape(4, d) == c[0, 0]):
         raise ValueError("the phase search needs one subset for R1, R2, S1 and S2")
-    start, _ = _grid_start(objective)
     table = _fourier_table(c[0, 0])
+    start, _ = _grid_start(*_grid_values(table))
     (a1, a2, b2), _ = newton_ascent(partial(_phase_derivatives, table), start, xtol=1e-13 * d)
     phases = PhaseSettings(a1, a2, 0.0, b2).reduced(d)
     return phases, bell_expectation(d, coeffs, phases, method="direct")

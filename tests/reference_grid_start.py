@@ -11,17 +11,14 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 
-def full_table_grid_start(objective) -> tuple[list[float], float]:
+def full_table_grid_start(t: np.ndarray, fv: np.ndarray) -> tuple[list[float], float]:
     """Best point (a1, a2, b2) of the gauge-fixed grid t_j = j d / N, N = 16 d.
 
     With fv[j] = f(t_j), h+[m] = max_j fv[j] + fv[j+m] and h-[m] = max_j
     fv[j] - fv[j+m] (indices mod N); m is the first argmax of h+ + h-.
     Returns (t[j+], t[j-], t[m]) and h+[m] + h-[m].
     """
-    d = objective.d
-    n = 16 * d
-    t = np.arange(n) * (d / n)
-    fv = objective.pair_value(0, 0, t)
+    n = fv.size
     # shifted[m, j] = fv[(j + m) % n], a view: no N x N index table.
     shifted = sliding_window_view(np.concatenate([fv, fv[:-1]]), n)
     plus, minus = fv + shifted, fv - shifted

@@ -89,6 +89,18 @@ class TestTightness:
         err = run_usage_error(capsys, "tightness", "--d", "40", "--preset", "t1")
         assert "guard" in err
 
+    def test_help_describes_the_box_certificate(self, capsys):
+        # The certificate takes the rank of the four maximizer boxes; it
+        # enumerates nothing.
+        outputs = []
+        for argv in (["--help"], ["tightness", "--help"]):
+            with pytest.raises(SystemExit) as excinfo:
+                cli.main(argv)
+            assert excinfo.value.code == 0
+            outputs.append(capsys.readouterr().out)
+        assert "maximizer boxes" in outputs[0]
+        assert all("enumeration" not in out for out in outputs)
+
 
 class TestScanQudit:
     def test_even_rows_reach_quantum_bound(self, capsys):

@@ -27,12 +27,12 @@ from binned_bell.lr_polytope import (
 from binned_bell.qudit import (
     SQRT8,
     BinningPreset,
-    _KernelObjective,
     _binned_observables,
     _fourier_table,
     _grid_start,
     _grid_values,
     _pair_derivatives,
+    _pair_sums,
     _phase_derivatives,
     _probability_matrix,
     PhaseSettings,
@@ -184,8 +184,9 @@ class TestProbabilities:
 
 def textbook_kernel(d: int, x) -> np.ndarray:
     """Reference kernel: a full array of 1/d, divided into where x is off the pole."""
-    x = np.mod(np.asarray(x, dtype=float), d)
-    near = np.minimum(x, d - x) < 1e-9
+    x = np.asarray(x, dtype=float)
+    x = x - d * np.round(x / d)
+    near = np.abs(x) < 1e-9
     den = d**3 * np.sin(np.pi * x / d) ** 2
     num = np.sin(np.pi * x) ** 2
     return np.divide(num, den, out=np.full_like(num, 1.0 / d), where=~near)
@@ -205,6 +206,19 @@ def test_probability_kernel_matches_textbook_formula(d):
     assert np.array_equal(probability_kernel(d, args[:7]), expected[:7])
     for row, want in zip(args, expected):
         assert np.array_equal(probability_kernel(d, row[None]), want[None])
+
+
+@pytest.mark.parametrize("d", [3, 5, 8, 32])
+def test_probability_kernel_keeps_its_digits_beside_multiples_of_d(d):
+    # The Fejer cosine sum sum_{|m|<d} (d - |m|) cos(2 pi m x / d) / d^3
+    # loses no digits near a multiple of d: each cosine is near +-1, where
+    # an argument error of ulp(2 pi m x / d) moves it by far less than 1e-16.
+    # Sines of x reduced into [0, d) would round apart by up to 6e-9 here.
+    delta = np.array([-1e-6, 1e-6, -1e-7, 1e-7])
+    x = (d * np.arange(-2, 4)[:, None] + delta).ravel()
+    m = np.arange(1, d)
+    fejer = (d + 2 * ((d - m) * np.cos(2 * np.pi * m * x[:, None] / d)).sum(axis=1)) / d**3
+    assert np.abs(probability_kernel(d, x) / fejer - 1).max() < 1e-13
 
 
 class TestChshReduction:
@@ -490,15 +504,14 @@ class TestOptimization:
     def test_grid_start_is_the_gauge_fixed_grid_maximum(self, kind, d):
         # The max-plus correlations give the maximum of the whole gauge-fixed
         # N^3 table (b1 = 0; a1, a2, b2 on t_j = j d / N, N = 16 d).
-        objective = _KernelObjective(build_coefficients(BinningPreset(kind, d).to_binning_spec()))
-        n = 16 * d
-        t = d * np.arange(n) / n
-        at_a = objective.pair_value(0, 0, t)[:, None]  # f(a + b1), b1 = 0
-        shifted = objective.pair_value(0, 0, t[:, None] + t)  # f(a + b2)
-        table = _chsh_table(at_a, shifted, at_a, -shifted)
-        start, value = _grid_start(objective)
-        assert value == pytest.approx(table.max(), abs=1e-12)
+        c, table = pair_function(kind, d)
+        t, fv = _grid_values(table)
+        at_a = pair_value(c, t)[:, None]  # f(a + b1), b1 = 0
+        shifted = pair_value(c, t[:, None] + t)  # f(a + b2)
+        start, value = _grid_start(t, fv)
+        assert value == pytest.approx(_chsh_table(at_a, shifted, at_a, -shifted).max(), abs=1e-12)
         a1, a2, b2 = start
+        objective = kernel_objective(preset_coeffs(kind, d))
         assert objective([a1, a2, 0.0, b2]) == pytest.approx(value, abs=1e-12)
         assert all(x in t for x in start)
 
@@ -518,29 +531,39 @@ class TestOptimization:
         assert outputs[0] == outputs[1]
 
 
-def per_pair_sums(objective: _KernelObjective, t) -> float:
-    """The Bell sum at offset sums t = (a1+b1, a1+b2, a2+b1, a2+b2) as four
-    separate pair_value calls (the reference route)."""
-    t11, t12, t21, t22 = t
-    return float(
-        objective.pair_value(0, 0, t11)
-        + objective.pair_value(0, 1, t12)
-        + objective.pair_value(1, 0, t21)
-        + objective.pair_value(1, 1, t22)
-    )
+def preset_coeffs(kind: str, d: int) -> CoefficientTensor:
+    return build_coefficients(BinningPreset(kind, d).to_binning_spec())
 
 
-def per_pair_objective(objective: _KernelObjective, x: np.ndarray) -> float:
-    """per_pair_sums at the phases x = (alpha1, alpha2, beta1, beta2)."""
-    a1, a2, b1, b2 = x
-    return per_pair_sums(objective, (a1 + b1, a1 + b2, a2 + b1, a2 + b2))
+def pair_value(c: np.ndarray, t) -> np.ndarray:
+    """f(t) = sum_s c(s) K(s + t) at one or many offset sums t, from the
+    closed-form kernel (the reference route of the Fourier form)."""
+    t = np.asarray(t, dtype=float)
+    d = len(c)
+    return (c @ probability_kernel(d, np.arange(d)[:, None] + t.ravel())).reshape(t.shape)
 
 
-def per_pair_batch(objective: _KernelObjective, x) -> np.ndarray:
-    """per_pair_objective point by point over stacked points of shape (..., 4)."""
-    x = np.asarray(x, dtype=float)
-    values = [per_pair_objective(objective, p) for p in x.reshape(-1, 4)]
-    return np.array(values).reshape(x.shape[:-1])
+def kernel_objective(coeffs: CoefficientTensor):
+    """The Bell sum at points x[..., :] = (alpha1, alpha2, beta1, beta2) from
+    the closed-form kernel.
+
+    Each f_ab is one stacked (1, d) @ (d, 1) matmul and the four are summed
+    in the order f11 + f12 + f21 + f22, so a point's value has the same bits
+    whatever batch it is in, as the lockstep Nelder-Mead's comparison with
+    scipy's one-point calls needs.
+    """
+    d = coeffs.d
+    c = _pair_sums(coeffs).reshape(4, d, 1)
+    s = np.arange(d)
+
+    def objective(x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        # t[..., 2a + b] = alpha_a + beta_b: a1+b1, a1+b2, a2+b1, a2+b2.
+        t = (x[..., :2, None] + x[..., None, 2:]).reshape(x.shape[:-1] + (4,))
+        f = np.matmul(probability_kernel(d, t[..., None] + s)[..., None, :], c)[..., 0, 0]
+        return f[..., 0] + f[..., 1] + f[..., 2] + f[..., 3]
+
+    return objective
 
 
 def objective_points(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -555,21 +578,25 @@ def objective_points(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 class TestKernelObjective:
+    """bell_expectation(method="kernel"), the Fourier form of the Bell sum."""
+
     @pytest.mark.parametrize(
         "kind,d",
         [("t1", 2), ("t3", 2)] + [(k, d) for d in (3, 8, 32) for k in ("t1", "t2", "t3")],
     )
     def test_bit_identical_to_per_pair_sum(self, kind, d):
-        objective = _KernelObjective(build_coefficients(BinningPreset(kind, d).to_binning_spec()))
+        coeffs = preset_coeffs(kind, d)
         points = objective_points(d, np.random.default_rng(d))
-        reference = per_pair_batch(objective, points)
+        # Each pair function at every point from one _pair_derivatives call:
+        # a row's bits do not depend on the offset sums around it.
+        t = (points[:, :2, None] + points[:, None, 2:]).reshape(-1, 4)
+        f = np.column_stack([_pair_derivatives(_fourier_table(c), t[:, i])[:, 0]
+                             for i, c in enumerate(_pair_sums(coeffs).reshape(4, d))])
+        reference = f[:, 0] + f[:, 1] + f[:, 2] + f[:, 3]
         for x, expected in zip(points, reference):
-            assert objective(x) == expected
-        # Stacked calls give the same bits as one point at a time, whatever
-        # the batch shape.
-        assert np.array_equal(objective(points), reference)
-        assert np.array_equal(objective(points[:42]), reference[:42])
-        assert np.array_equal(objective(points.reshape(20, 20, 4)), reference.reshape(20, 20))
+            assert bell_expectation(d, coeffs, PhaseSettings(*x), method="kernel") == expected
+        # The closed-form kernel, on and beside its pole branch.
+        assert np.abs(kernel_objective(coeffs)(points) - reference).max() < 1e-13
 
     @pytest.mark.parametrize("kind,d", [("t2", 8), ("t3", 5), ("t1", 7), ("t3", 14)])
     @pytest.mark.parametrize("seed", [0, 7])
@@ -602,13 +629,18 @@ ALL_PRESETS = [(kind, d) for kind in ("t1", "t2", "t3") for d in range(2, 33)
                if (kind, d) != ("t2", 2)]
 
 
-def pair_function(kind: str, d: int) -> tuple[_KernelObjective, np.ndarray]:
-    """A preset's kernel objective and the Fourier table of its one pair function f."""
-    objective = _KernelObjective(build_coefficients(BinningPreset(kind, d).to_binning_spec()))
-    return objective, _fourier_table(objective._c[0, 0])
+def pair_function(kind: str, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pair sums c of a preset's one pair function f, and f's Fourier table."""
+    c = _pair_sums(preset_coeffs(kind, d))[0, 0]
+    return c, _fourier_table(c)
 
 
-def gauge_fixed_objective(objective: _KernelObjective):
+def grid_start(table: np.ndarray) -> tuple[list[float], float]:
+    """The phase search's grid start for the pair function of a Fourier table."""
+    return _grid_start(*_grid_values(table))
+
+
+def gauge_fixed_objective(objective):
     """Minus the Bell sum at (a1, a2, b2), the phases with beta1 = 0."""
     return lambda x: -objective(np.insert(x, 2, 0.0, axis=-1))
 
@@ -625,18 +657,17 @@ class TestFourierDerivatives:
     @pytest.mark.parametrize("kind", ["t1", "t2", "t3"])
     def test_fourier_table_reproduces_pair_value(self, kind):
         for d in range(3 if kind == "t2" else 2, 33):
-            objective, table = pair_function(kind, d)
+            c = _pair_sums(preset_coeffs(kind, d))
+            table = _fourier_table(c[0, 0])
             rng = np.random.default_rng(d)
             # Offset sums at least 0.1 off the integers, on them (the
-            # kernel's pole branch) and just above them.  Within delta below
-            # a multiple of d the kernel's two sines round apart, by about
-            # 1e-15 / delta relative (3e-7 at delta = 1e-9, 1.4e-13 absolute
-            # at delta = 0.01 and d = 14); the Fourier form does not.
+            # kernel's pole branch), and just above and just below them.
             on_pole = rng.integers(-d, 2 * d, 50).astype(float)
+            near = 10.0 ** rng.uniform(-12, -8.3, 50)
             t = np.concatenate([on_pole + rng.uniform(0.1, 0.9, 50), on_pole,
-                                on_pole + 10.0 ** rng.uniform(-12, -8.3, 50)])
+                                on_pole + near, on_pole - near])
             for a, b, sign in ((0, 0, 1.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, -1.0)):
-                error = sign * _pair_derivatives(table, t)[:, 0] - objective.pair_value(a, b, t)
+                error = sign * _pair_derivatives(table, t)[:, 0] - pair_value(c[a, b], t)
                 assert np.abs(error).max() < 1e-13, (kind, d, a, b)
 
     @pytest.mark.parametrize("kind,d", [("t1", 2), ("t1", 5), ("t2", 8), ("t3", 7), ("t3", 32)])
@@ -649,7 +680,8 @@ class TestFourierDerivatives:
 
     @pytest.mark.parametrize("kind,d", [("t1", 3), ("t2", 8), ("t3", 7), ("t3", 32)])
     def test_phase_gradient_and_hessian_match_central_differences(self, kind, d):
-        objective, table = pair_function(kind, d)
+        _, table = pair_function(kind, d)
+        objective = kernel_objective(preset_coeffs(kind, d))
         for x in np.random.default_rng(d + 1).uniform(0, d, size=(5, 3)):
             value, grad, hess = _phase_derivatives(table, x)
             fd_grad, fd_hess = central_differences(partial(_phase_derivatives, table), x)
@@ -676,9 +708,9 @@ class TestNewtonSearch:
         assert found >= 5
 
     def test_step_cap_returns_best_point_so_far(self):
-        objective, table = pair_function("t2", 11)
+        _, table = pair_function("t2", 11)
         fgh = partial(_phase_derivatives, table)
-        start, _ = _grid_start(objective)
+        start, _ = grid_start(table)
         values = []
         for steps in range(6):
             x, value = newton_ascent(fgh, start, xtol=1e-13, max_steps=steps)
@@ -690,7 +722,7 @@ class TestNewtonSearch:
 
     def test_no_search_returns_less_than_its_grid_start(self):
         for kind, d in ALL_PRESETS:
-            _, grid_value = _grid_start(pair_function(kind, d)[0])
+            _, grid_value = grid_start(pair_function(kind, d)[1])
             _, value = optimize_phases(d, kind)
             assert value >= grid_value - 1e-12, (kind, d, value, grid_value)
 
@@ -699,10 +731,9 @@ class TestNewtonSearch:
         # The derivative-free reference from the same grid start, its best
         # vertex re-evaluated by direct inner products as the search's is.
         for d in range(3 if kind == "t2" else 2, 33):
-            coeffs = build_coefficients(BinningPreset(kind, d).to_binning_spec())
-            objective = _KernelObjective(coeffs)
-            start, _ = _grid_start(objective)
-            sim, _ = nelder_mead_lockstep(gauge_fixed_objective(objective), [start],
+            coeffs = preset_coeffs(kind, d)
+            start, _ = grid_start(pair_function(kind, d)[1])
+            sim, _ = nelder_mead_lockstep(gauge_fixed_objective(kernel_objective(coeffs)), [start],
                                           maxiter=4000, maxfev=8000)
             a1, a2, b2 = sim[0, 0]
             simplex = bell_expectation(d, coeffs, PhaseSettings(a1, a2, 0.0, b2).reduced(d),
@@ -734,15 +765,18 @@ def eight_basis_bell_sum(d: int, coeffs: CoefficientTensor, phases: PhaseSetting
     return total
 
 
-def random_sign_objective(rng: np.random.Generator, d: int) -> _KernelObjective:
-    return _KernelObjective(CoefficientTensor(d, rng.choice([-1, 1], size=(2, 2, d, d))))
+def random_sign_pair(rng: np.random.Generator, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """pair_function of a random +-1 tensor's f11."""
+    c = _pair_sums(CoefficientTensor(d, rng.choice([-1, 1], size=(2, 2, d, d))))[0, 0]
+    return c, _fourier_table(c)
 
 
-def assert_grid_start_matches_the_full_table(objective: _KernelObjective) -> None:
-    start, value = _grid_start(objective)
-    reference_start, reference_value = full_table_grid_start(objective)
-    assert value == reference_value, objective.d
-    assert start == reference_start, objective.d
+def assert_grid_start_matches_the_full_table(table: np.ndarray) -> None:
+    t, fv = _grid_values(table)
+    start, value = _grid_start(t, fv)
+    reference_start, reference_value = full_table_grid_start(t, fv)
+    assert value == reference_value, len(table) // 2
+    assert start == reference_start, len(table) // 2
 
 
 class TestReferenceIdentity:
@@ -752,13 +786,13 @@ class TestReferenceIdentity:
     @pytest.mark.parametrize("kind", ["t1", "t2", "t3"])
     def test_grid_start_on_presets(self, kind):
         for d in [*range(3 if kind == "t2" else 2, 33), 48, 64]:
-            assert_grid_start_matches_the_full_table(pair_function(kind, d)[0])
+            assert_grid_start_matches_the_full_table(pair_function(kind, d)[1])
 
     def test_grid_start_on_random_sign_tensors(self):
         rng = np.random.default_rng(27)
         for d in [*range(2, 41), 48, 64]:
             for _ in range(20):
-                assert_grid_start_matches_the_full_table(random_sign_objective(rng, d))
+                assert_grid_start_matches_the_full_table(random_sign_pair(rng, d)[1])
 
     @pytest.mark.parametrize("entries", [1, 100, 1000])
     def test_grid_start_with_small_blocks(self, monkeypatch, entries):
@@ -766,17 +800,18 @@ class TestReferenceIdentity:
         monkeypatch.setattr(qudit, "_GRID_ENTRIES", entries)
         rng = np.random.default_rng(entries)
         for d in (2, 3, 5, 8, 13, 16):
-            assert_grid_start_matches_the_full_table(pair_function("t3", d)[0])
-            assert_grid_start_matches_the_full_table(random_sign_objective(rng, d))
+            assert_grid_start_matches_the_full_table(pair_function("t3", d)[1])
+            assert_grid_start_matches_the_full_table(random_sign_pair(rng, d)[1])
 
-    def test_blocked_grid_values_equal_one_pair_value_call(self):
+    def test_fft_grid_values_match_pair_value(self):
         rng = np.random.default_rng(5)
-        objectives = [pair_function(kind, d)[0] for kind, d in ALL_PRESETS]
-        objectives += [random_sign_objective(rng, d)
-                       for d in [*range(2, 65), 100, 256] for _ in range(2)]
-        for objective in objectives:
-            t, fv = _grid_values(objective)
-            assert np.array_equal(fv, objective.pair_value(0, 0, t)), objective.d
+        pairs = [pair_function(kind, d) for kind, d in ALL_PRESETS]
+        pairs += [random_sign_pair(rng, d) for d in range(2, 33) for _ in range(5)]
+        for c, table in pairs:
+            d = len(c)
+            t, fv = _grid_values(table)
+            assert np.array_equal(t, np.arange(16 * d) * (d / (16 * d))), d
+            assert np.abs(fv - pair_value(c, t)).max() < 1e-13, d
 
     def test_direct_route_equals_the_eight_basis_loop(self):
         rng = np.random.default_rng(11)
@@ -788,14 +823,25 @@ class TestReferenceIdentity:
 
     def test_grid_start_memory_stays_linear(self):
         # The full N x N tables take 256 MB here (N = 4096).
-        objective = pair_function("t3", 256)[0]
+        table = pair_function("t3", 256)[1]
         tracemalloc.start()
         try:
-            _grid_start(objective)
+            grid_start(table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+    def test_fourier_table_memory_stays_linear(self):
+        # The FFT needs no d x d cosine and sine tables (about 17 MB here).
+        c = np.random.default_rng(0).integers(-1024, 1025, 1024).astype(float)
+        tracemalloc.start()
+        try:
+            _fourier_table(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 # (5/2) sin(2 pi / 5), the t2 value at every d divisible by 4.
@@ -812,9 +858,9 @@ class TestClosedForms:
     def test_period_folding(self, kind, p, dims):
         # A subset of period p dividing d gives f_d = f_p.
         t = np.linspace(0.0, 4.0, 1001)
-        base = pair_function(kind, p)[0].pair_value(0, 0, t)
+        base = pair_value(pair_function(kind, p)[0], t)
         for d in dims:
-            assert np.abs(pair_function(kind, d)[0].pair_value(0, 0, t) - base).max() < 1e-13, d
+            assert np.abs(pair_value(pair_function(kind, d)[0], t) - base).max() < 1e-13, d
 
 
 def scipy_nelder_mead(func, x0, *, maxiter=4000, maxfev=8000):
@@ -886,7 +932,7 @@ def search_objective(kind: str, d: int):
     arrangement at squeezing r = d / 10, over all of its real parameters.
     """
     if kind not in CV_SEARCHES:
-        objective = _KernelObjective(build_coefficients(BinningPreset(kind, d).to_binning_spec()))
+        objective = kernel_objective(preset_coeffs(kind, d))
         return (lambda x: -objective(x)), 4
     displacements, n = CV_SEARCHES[kind]
     r = d / 10
@@ -974,15 +1020,14 @@ class TestLockstepNelderMead:
     def test_caps_cut_starts_mid_iteration_like_scipy(self):
         # The phase objective of t3 at d = 5 in the gauge beta1 = 0, from the
         # phase search's grid start.
-        objective = _KernelObjective(build_coefficients(BinningPreset("t3", 5).to_binning_spec()))
-        func = gauge_fixed_objective(objective)
-        starts = [_grid_start(objective)[0]]
+        func = gauge_fixed_objective(kernel_objective(preset_coeffs("t3", 5)))
+        starts = [grid_start(pair_function("t3", 5)[1])[0]]
         cut = set()
         # maxfev below the 4 initial evaluations and over the first
-        # iterations, at 47, 55, 64 and 78, where this start drops an
-        # expansion, and at 173..175, where it is inside a shrink (all found
-        # by recording); maxiter 1 runs no iteration.
-        fevs = [*range(3, 8), 47, 55, 64, 78, *range(173, 176)]
+        # iterations, at 81, 107, 109 and 113, where this start drops an
+        # expansion, and at 168, 169 and 173, where it is inside a shrink
+        # (all found by recording); maxiter 1 runs no iteration.
+        fevs = [*range(3, 8), 81, 107, 109, 113, 168, 169, 173]
         for maxiter, maxfev in [(4000, f) for f in fevs] + [(1, 8000), (6, 8000)]:
             sim, fsim = nelder_mead_lockstep(func, starts, maxiter=maxiter, maxfev=maxfev)
             cut |= assert_lockstep_matches_scipy(
@@ -991,15 +1036,16 @@ class TestLockstepNelderMead:
         assert cut == {"expansion", "shrink"}
 
 # `scan-qudit --seed 3 --format csv` rows, one dimension per run, recorded
-# from the Newton ascent from the gauge-fixed grid (beta1 is 0 by the gauge).
-# The values of the search the grid replaced are floors in PARENT_FLOORS.
+# from the Newton ascent from the gauge-fixed grid, whose values come from
+# one FFT (beta1 is 0 by the gauge).  The values of the search the grid
+# replaced are floors in PARENT_FLOORS.
 GOLDEN_SCAN_ROWS = {
-    ("t1", 5): "5,t1,2.634761860821528,1.2368639217428501,0.76313607825715002,0,4.5262721565142998",
-    ("t1", 16): "16,t1,2.8284271247461898,9.75,0.24999999999999981,0,0.50000000000000033",
-    ("t2", 5): "5,t2,2.3023289861005578,0.19179481241901716,4.8082051875809828,0,4.6164103751619656",
-    ("t2", 16): "16,t2,2.3776412907378841,2.8000000000000003,0.40000000000000002,0,0.40000000000000002",
-    ("t3", 5): "5,t3,2.3023289861005587,4.1917948124190172,3.8082051875809833,0,4.6164103751619647",
-    ("t3", 16): "16,t3,2.1071482976976075,8.8391582781188376,0.5174748343565122,0,0.32168344376232544",
+    ("t1", 5): "5,t1,2.6347618608215275,0.76313607825714991,1.2368639217428503,0,0.47372784348570018",
+    ("t1", 16): "16,t1,2.8284271247461898,1.75,0.25,0,0.5",
+    ("t2", 5): "5,t2,2.3023289861005587,4.8082051875809828,0.19179481241901727,0,0.3835896248380341",
+    ("t2", 16): "16,t2,2.3776412907378841,2.8000000000000003,0.40000000000000002,0,0.39999999999999991",
+    ("t3", 5): "5,t3,2.3023289861005583,3.8082051875809828,4.1917948124190172,0,0.38358962483803427",
+    ("t3", 16): "16,t3,2.1071482976976075,8.8391582781188376,9.1608417218811624,0,0.32168344376232499",
 }
 
 
