@@ -23,8 +23,10 @@ and are the reference route.
 Tightness of B <= 2 on the LR polytope is certified by the rank of the
 maximizers' extremal 0/1 vectors (tightness_certificate, from the boxes).  A
 facet needs rank 4d(d-1); the count of maximizing assignments (closed form
-m_formula) reaching that threshold is only a necessary condition.  Rank
-computations never touch floating point.
+m_formula) reaching that threshold is only a necessary condition.  The rank
+mod 2 bounds it from below, and a shortfall is bounded from above by 4d + 1
+closed-form integer annihilators (_annihilators).  Rank computations never
+touch floating point.
 """
 
 from __future__ import annotations
@@ -38,17 +40,9 @@ import numpy as np
 
 DEFAULT_ENUMERATION_LIMIT = 32
 
-# Modulus of the modular rank: a product of two residues stays below 2**62,
-# so int64 arithmetic never overflows.
-_PRIME = 2**31 - 1
-# Rows reduced per batch by the modular rank.
-_CHUNK_ROWS = 32
-# Rows checked per batch against the lifted null space.
-_CHECK_ROWS = 1024
-
 
 class EnumerationLimitError(ValueError):
-    """d is above the limit: d^4 assignments to enumerate, or a 16 d^4-bit rank basis."""
+    """d is above the limit: d^4 assignments to enumerate, or a rank over 4 d^2 columns."""
 
 
 def _check_limit(d: int, limit: int) -> None:
@@ -234,16 +228,15 @@ def _extremal_columns(d: int, configs: np.ndarray) -> tuple[np.ndarray, ...]:
     return (k1 * d + l1, dd + k1 * d + l2, 2 * dd + k2 * d + l1, 3 * dd + k2 * d + l2)
 
 
-def _gf2_rank(configs: np.ndarray, d: int, bound: int) -> int:
-    """Rank mod 2 of the configs' extremal vectors, stopping at bound.
+def _gf2_rank(rows: Iterable[int], bound: int) -> int:
+    """Rank mod 2 of bit rows (Python ints, bit c for column c), stopping at bound.
 
-    A row is a Python int with its four column bits set.  The basis maps
-    each row's top bit to the row; a fresh row is XORed with the basis row
-    of its top bit until that bit is new (-1 once the row vanishes).
+    The basis maps each row's top bit to the row; a fresh row is XORed with
+    the basis row of its top bit until that bit is new (-1 once the row
+    vanishes).
     """
     basis: dict[int, int] = {}
-    for c0, c1, c2, c3 in zip(*(c.tolist() for c in _extremal_columns(d, configs))):
-        row = 1 << c0 | 1 << c1 | 1 << c2 | 1 << c3
+    for row in rows:
         while (top := row.bit_length() - 1) in basis:
             row ^= basis[top]
         if row:
@@ -253,82 +246,59 @@ def _gf2_rank(configs: np.ndarray, d: int, bound: int) -> int:
     return len(basis)
 
 
-def _clear_column(block: np.ndarray, col: int, row: np.ndarray, support: np.ndarray) -> None:
-    """Make block[:, col] zero mod p in place, using a row with row[col] == 1."""
-    hit = np.flatnonzero(block[:, col])
-    if hit.size:
-        cells = np.ix_(hit, support)
-        block[cells] = (block[cells] - block[hit, col][:, None] * row[support]) % _PRIME
+def _annihilators(spec: BinningSpec) -> np.ndarray:
+    """4d + 1 integer vectors orthogonal to every maximizer's extremal vector.
 
-
-def _modular_rank(configs: np.ndarray, d: int, bound: int) -> int:
-    """Rank over Q of the configs' extremal vectors, found mod p, stopping at bound.
-
-    The basis is kept in reduced row echelon form, so a fresh 0/1 row is
-    reduced by subtracting the basis rows of its (at most four) pivot
-    columns.  Rows are built and reduced a chunk at a time, in the order
-    given; a rank short of the bound is proven from above by _check_null_space.
+    Rows are in the 4d^2 layout of _extremal_columns.  Row a*d + k is +1 on
+    row k of block (a,1) and -1 on row k of block (a,2); row (2+b)*d + l is
+    +1 on column l of block (1,b) and -1 on column l of block (2,b).  Each
+    deterministic vector has one 1 per block, so both kinds vanish on it.
+    The last row is z: with x_a(k) = [k not in R_a] and y_b(l) = [l not in
+    S_b], it is (x1 + y1 - x1 y1, -x1 y2, -x2 y1, x2 y2) on the blocks.  An
+    assignment has 1 + 2 z.v losing terms (terms equal to -1), and a
+    maximizer, which scores 2, has exactly one, so z.v = 0.
     """
-    ncols = 4 * d * d
-    # The extra zero row stands in for the basis row of a non-pivot column.
-    basis = np.zeros((bound + 1, ncols), dtype=np.int64)
-    row_of_pivot = np.full(ncols, bound)
-    rank = 0
-    for start in range(0, configs.shape[0], _CHUNK_ROWS):
-        if rank == bound:
-            break
-        cols = _extremal_columns(d, configs[start:start + _CHUNK_ROWS])
-        rows = np.zeros((cols[0].size, ncols), dtype=np.int64)
-        for c in cols:
-            rows -= basis[row_of_pivot[c]]
-            rows[np.arange(c.size), c] += 1
-        rows %= _PRIME
-        while rank < bound:
-            rows = rows[rows.any(axis=1)]
-            if rows.shape[0] == 0:
-                break
-            row = rows[0]
-            col = int(np.flatnonzero(row)[0])
-            row = row * pow(int(row[col]), -1, _PRIME) % _PRIME
-            support = np.flatnonzero(row)
-            _clear_column(basis[:rank], col, row, support)
-            rows = rows[1:]
-            _clear_column(rows, col, row, support)
-            basis[rank] = row
-            row_of_pivot[col] = rank
-            rank += 1
-    if rank < bound:
-        _check_null_space(configs, d, basis[:rank], row_of_pivot)
-    return rank
+    d = spec.d
+    rows = np.zeros((4 * d + 1, 2, 2, d, d), dtype=np.int8)
+    k = np.arange(d)
+    for side in range(2):
+        rows[side * d + k, side, 0, k, :] = 1
+        rows[side * d + k, side, 1, k, :] = -1
+        rows[(2 + side) * d + k, 0, side, :, k] = 1
+        rows[(2 + side) * d + k, 1, side, :, k] = -1
+    x1, x2, y1, y2 = (1 - _binning_signs([spec])[0]) // 2
+    z = rows[-1]
+    z[0, 0] = np.add.outer(x1, y1) - np.outer(x1, y1)
+    z[0, 1] = -np.outer(x1, y2)
+    z[1, 0] = -np.outer(x2, y1)
+    z[1, 1] = np.outer(x2, y2)
+    return rows.reshape(4 * d + 1, -1)
 
 
-def _check_null_space(
-    configs: np.ndarray, d: int, basis: np.ndarray, row_of_pivot: np.ndarray
-) -> None:
-    """Prove rank over Q <= len(basis), or raise ArithmeticError.
+def _prove_shortfall(spec: BinningSpec, columns: tuple[np.ndarray, ...], rank: int) -> None:
+    """Prove that the extremal vectors with these _extremal_columns have rank
+    `rank` over Q, or raise ArithmeticError.
 
-    basis is the reduced row echelon basis mod p of every config's row, and
-    row_of_pivot[c] its row pivoting on column c (len(basis) or more if none).
-    For each non-pivot column f, y_f = e_f - sum_i basis[i, f] e_pivot(i),
-    lifted to symmetric residues |y| < p/2, must be annihilated by every row
-    exactly; four entries sum below 2^32, so int64 cannot overflow.  These
-    unit vectors on the non-pivot columns are independent.  They annihilate
-    every integer combination of the rows too, such as each maximizer's row.
+    rank is their rank mod 2, a lower bound.  Let H be the columns that some
+    vector touches.  The annihilators restricted to H are orthogonal to every
+    vector, so the rank is at most |H| minus their rank over Q, which is at
+    least their rank mod 2.  The party rows annihilate any deterministic
+    vector; z is checked here exactly, in integers.
     """
-    rank = basis.shape[0]
-    is_pivot = row_of_pivot < rank
-    free = np.flatnonzero(~is_pivot)
-    half = _PRIME // 2
-    lifted = np.zeros((row_of_pivot.size, free.size), dtype=np.int64)
-    lifted[free, np.arange(free.size)] = 1
-    lifted[is_pivot] = (half - basis[row_of_pivot[is_pivot]][:, free]) % _PRIME - half
-    for start in range(0, configs.shape[0], _CHECK_ROWS):
-        c0, c1, c2, c3 = _extremal_columns(d, configs[start:start + _CHECK_ROWS])
-        if (lifted[c0] + lifted[c1] + lifted[c2] + lifted[c3]).any():
-            raise ArithmeticError(
-                f"d={d}: the null space of the rank-{rank} basis mod {_PRIME} does "
-                f"not lift to exact annihilators; the rank over Q is unproven"
-            )
+    d = spec.d
+    annihilators = _annihilators(spec)
+    z = annihilators[-1]
+    if (z[columns[0]] + z[columns[1]] + z[columns[2]] + z[columns[3]]).any():
+        raise ArithmeticError(f"d={d}: the losing-term vector z misses a maximizer")
+    touched = np.unique(np.concatenate(columns))
+    bits = np.packbits(annihilators[:, touched] & 1, axis=1, bitorder="little")
+    upper = touched.size - _gf2_rank(
+        (int.from_bytes(row.tobytes(), "little") for row in bits), len(bits))
+    if upper != rank:
+        raise ArithmeticError(
+            f"d={d}: the rank over Q lies between {rank} (GF(2) rank) and "
+            f"{upper} (annihilator bound); it is unproven"
+        )
 
 
 @dataclass(frozen=True)
@@ -379,20 +349,19 @@ def tightness_certificate(
     (k_a, l_b).  So if b is a box's base point, x_ab the point with block
     (a, b) from x and the rest from b, and x_i the one with coordinate i
     from x, every x in the box has v(x) = sum_ab v(x_ab) - sum_i v(x_i) + v(b).
-    That holds over Z, hence mod 2 and mod p: the O(d^2) generators of
-    _box_generators span what all maximizers span.
+    That holds over Z, hence mod 2: the O(d^2) generators of _box_generators
+    span what all maximizers span.
 
     The rank has a geometric upper bound: all d^4 deterministic vectors
     span (2d-1)^2 dimensions, and when some assignment is not a maximizer
     the maximizers lie on a proper face, of rank at most 4d(d-1).  The rank
-    is computed over GF(2), stopping at the bound; a 0/1 matrix's rank mod 2
-    never exceeds its rank over Q (a minor that is odd is a nonzero
-    integer), so reaching the bound proves the exact rank.  Only a GF(2)
-    shortfall runs the rank over GF(p), p = 2^31 - 1, which also stops at
-    the bound.  A shortfall r there is proven from above: the mod-p null
-    space of the generators, lifted to integers, gives n - r independent
-    vectors that every generator, and so every maximizer, must annihilate
-    exactly, or the call raises ArithmeticError.
+    is computed over GF(2), stopping at the bound; an integer matrix's rank
+    mod 2 never exceeds its rank over Q (a minor that is odd is a nonzero
+    integer), so reaching the bound proves the exact rank.  A shortfall r
+    is proven from above by _prove_shortfall: the 4d + 1 annihilators of
+    _annihilators, restricted to the columns H that the generators touch,
+    have rank mod 2 at least |H| - r, or the call raises ArithmeticError.
+    Only a shortfall builds them.
 
     is_tight_by_count compares the exact count against the facet threshold
     4d(d-1) and is only a necessary condition: specs with empty subsets
@@ -403,12 +372,13 @@ def tightness_certificate(
     d = spec.d
     boxes = _maximizer_boxes(spec)
     m_counted = sum(len(k1) * len(k2) * len(l1) * len(l2) for k1, k2, l1, l2 in boxes)
-    configs = _box_generators(boxes)
     threshold = facet_threshold(d)
     bound = (2 * d - 1) ** 2 if m_counted == d**4 else threshold
-    rank = _gf2_rank(configs, d, bound)
+    columns = _extremal_columns(d, _box_generators(boxes))
+    rank = _gf2_rank((1 << c0 | 1 << c1 | 1 << c2 | 1 << c3 for c0, c1, c2, c3
+                      in zip(*(c.tolist() for c in columns))), bound)
     if rank < bound:
-        rank = _modular_rank(configs, d, bound)
+        _prove_shortfall(spec, columns, rank)
     return TightnessReport(
         lr_max=2.0,
         m_counted=m_counted,

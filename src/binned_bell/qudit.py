@@ -92,11 +92,6 @@ def fourier_basis(d: int, offset) -> np.ndarray:
     return np.exp(2j * np.pi * phase / d) / math.sqrt(d)
 
 
-def _probability_matrix(d: int, alpha: float, beta: float) -> np.ndarray:
-    """P[k, l] from direct inner products of basis vectors with |psi>."""
-    return _basis_probabilities(fourier_basis(d, alpha), fourier_basis(d, beta))
-
-
 def _basis_probabilities(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """P[k, l] = |<psi| (|a,k> x |b,l>)|^2 for the bases u = |a,k>, v = |b,l>."""
     # <psi| (|a,k> x |b,l>) = (1/sqrt(d)) sum_j u[j,k] v[j,l]

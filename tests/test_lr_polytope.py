@@ -7,7 +7,8 @@ import itertools
 import numpy as np
 import pytest
 
-from binned_bell import lr_polytope
+import reference_rank
+from binned_bell import cli, lr_polytope
 from binned_bell.lr_polytope import (
     BinningSpec,
     CoefficientTensor,
@@ -22,7 +23,8 @@ from binned_bell.lr_polytope import (
     tightness_certificate,
     zeta,
 )
-from reference_rank import ExactIntegerRank
+from binned_bell.qudit import BinningPreset
+from reference_rank import ExactIntegerRank, _check_null_space, _modular_rank
 
 # Frozen enumeration oracles: (spec, lr_max, maximizer count, linear rank).
 # Counts and ranks come from independent brute-force enumeration; the rank
@@ -51,17 +53,34 @@ def maximizers(spec: BinningSpec) -> np.ndarray:
     return np.argwhere(values == values.max())
 
 
+def generators(spec: BinningSpec) -> np.ndarray:
+    return lr_polytope._box_generators(lr_polytope._maximizer_boxes(spec))
+
+
+def rank_bound(spec: BinningSpec) -> int:
+    """The certificate's geometric bound: (2d-1)^2 if every assignment is a
+    maximizer, else the facet threshold."""
+    everything = m_formula(spec) == spec.d**4
+    return (2 * spec.d - 1) ** 2 if everything else facet_threshold(spec.d)
+
+
+def prefix_specs(d: int) -> list[BinningSpec]:
+    """One spec per size tuple (n1, n2, m1, m2), each subset a prefix of 0..d-1."""
+    return [BinningSpec(d, *(range(n) for n in sizes))
+            for sizes in itertools.product(range(d), repeat=4)]
+
+
 @pytest.fixture
-def modular_calls(monkeypatch) -> list[int]:
-    """The bound of every _modular_rank call the test makes."""
+def annihilator_calls(monkeypatch) -> list[BinningSpec]:
+    """The spec of every _annihilators call the test makes."""
     calls = []
-    modular = lr_polytope._modular_rank
+    annihilators = lr_polytope._annihilators
 
-    def spy(configs, d, bound):
-        calls.append(bound)
-        return modular(configs, d, bound)
+    def spy(spec):
+        calls.append(spec)
+        return annihilators(spec)
 
-    monkeypatch.setattr(lr_polytope, "_modular_rank", spy)
+    monkeypatch.setattr(lr_polytope, "_annihilators", spy)
     return calls
 
 
@@ -80,6 +99,11 @@ def extremal_row(d: int, config) -> np.ndarray:
     for block, (k, l) in enumerate(((k1, l1), (k1, l2), (k2, l1), (k2, l2))):
         row[block, k * d + l] = 1
     return row.ravel()
+
+
+def bit_row(d: int, config) -> int:
+    """extremal_row as a Python int, bit c set for each column c holding a 1."""
+    return sum(1 << int(c) for c in np.flatnonzero(extremal_row(d, config)))
 
 
 class TestBinningSpec:
@@ -265,10 +289,10 @@ class TestExtremalVectors:
 
 class TestTightnessCertificate:
     @pytest.mark.parametrize("spec,_,count,rank", ORACLES)
-    def test_frozen_certificates(self, spec, _, count, rank, modular_calls):
+    def test_frozen_certificates(self, spec, _, count, rank, annihilator_calls):
         report = tightness_certificate(spec)
-        # Facets reach the bound over GF(2), without the modular stream.
-        assert modular_calls == []
+        # Facets reach the bound over GF(2), without the annihilators.
+        assert annihilator_calls == []
         assert report.lr_max == 2.0
         assert report.m_counted == count
         assert report.m_formula == count
@@ -300,9 +324,9 @@ class TestTightnessCertificate:
 
     def test_ranks_match_exact_stream_on_random_specs(self):
         # With sizes 0..d-1 many specs fall short of the facet bound, so
-        # their rank is proven from above by the lifted null space.  The
-        # GF(2) rank, unstopped (bound = number of columns), never exceeds
-        # the exact one.
+        # their rank is proven from above by the annihilators.  The GF(2)
+        # rank, unstopped (bound = number of columns), never exceeds the
+        # exact one.
         shortfalls = 0
         for seed, min_size in ((13, 1), (17, 0)):
             rng = np.random.default_rng(seed)
@@ -312,54 +336,64 @@ class TestTightnessCertificate:
                     report = tightness_certificate(spec)
                     rank = self.reference_rank(spec)
                     assert (report.linear_rank, report.affine_rank) == (rank, rank), spec
-                    assert lr_polytope._gf2_rank(maximizers(spec), d, 4 * d * d) <= rank
+                    rows = (bit_row(d, config) for config in maximizers(spec))
+                    assert lr_polytope._gf2_rank(rows, 4 * d * d) <= rank
                     shortfalls += rank < report.threshold
         assert shortfalls > 0
 
-    def test_unproven_rank_raises(self, monkeypatch, modular_calls):
-        # Modulo 2 the lift to symmetric residues loses the signs of the null
-        # space, so the exact check fails and no rank may be reported.  The
-        # GF(2) rank falls short on this spec, so the call reaches that check
-        # through the modular stream.
-        monkeypatch.setattr(lr_polytope, "_PRIME", 2)
+    def test_unproven_rank_raises(self, monkeypatch):
+        # The reference modular stream: modulo 2 the lift to symmetric
+        # residues loses the signs of the null space, so the exact check
+        # fails and no rank may be reported.  The GF(2) rank falls short on
+        # this spec, so the stream reaches that check below the bound.
+        spec = BinningSpec(d=3, r1=(1,), r2=(), s1=(), s2=())
+        rank = tightness_certificate(spec).linear_rank
+        assert rank < 24
+        assert _modular_rank(generators(spec), 3, 24) == rank
+        monkeypatch.setattr(reference_rank, "_PRIME", 2)
         with pytest.raises(ArithmeticError):
-            tightness_certificate(BinningSpec(d=3, r1=(1,), r2=(), s1=(), s2=()))
-        assert modular_calls == [24]
+            _modular_rank(generators(spec), 3, 24)
 
-    def test_every_d3_spec_matches_the_modular_stream(self, monkeypatch):
-        # All 7^4 specs with subsets of size 0..2, shortfalls included.  The
-        # modular stream is deterministic, so each generator set runs it once:
-        # a shortfall's second pass reads the stream of its first.
+    def test_every_d3_spec_matches_the_modular_stream(self):
+        # All 7^4 specs with subsets of size 0..2, shortfalls included,
+        # against the reference modular stream.  It is deterministic, so
+        # each generator set runs it once.
         memo = {}
-        modular = lr_polytope._modular_rank
-
-        def memoized(configs, d, bound):
+        subsets = [s for n in range(3) for s in itertools.combinations(range(3), n)]
+        ranks = set()
+        for sets in itertools.product(subsets, repeat=4):
+            spec = BinningSpec(3, *sets)
+            configs, bound = generators(spec), rank_bound(spec)
             key = (configs.tobytes(), bound)
             if key not in memo:
-                memo[key] = modular(configs, d, bound)
-            return memo[key]
-
-        monkeypatch.setattr(lr_polytope, "_modular_rank", memoized)
-        subsets = [s for n in range(3) for s in itertools.combinations(range(3), n)]
-        specs = [BinningSpec(3, *sets) for sets in itertools.product(subsets, repeat=4)]
-        reports = [tightness_certificate(spec) for spec in specs]
-        monkeypatch.setattr(lr_polytope, "_gf2_rank", lambda configs, d, bound: 0)
-        assert [tightness_certificate(spec) for spec in specs] == reports
-        ranks = {report.linear_rank for report in reports}
+                memo[key] = _modular_rank(configs, 3, bound)
+            report = tightness_certificate(spec)
+            assert report.linear_rank == report.affine_rank == memo[key], spec
+            ranks.add(report.linear_rank)
         assert 24 in ranks and min(ranks) < 24
 
-    def test_gf2_shortfall_is_proven_by_the_modular_stream(self, monkeypatch, modular_calls):
+    def test_forced_gf2_shortfall_raises(self, monkeypatch, annihilator_calls):
+        # A GF(2) rank one short of a facet's true rank leaves a gap to the
+        # annihilator bound, so no rank may be reported.
         spec = T1(4)
-        expected = tightness_certificate(spec)
-        monkeypatch.setattr(lr_polytope, "_gf2_rank", lambda configs, d, bound: bound - 1)
-        report = tightness_certificate(spec)
-        assert modular_calls == [48]
-        assert report == expected and report.linear_rank == 48
+        calls = []
+        gf2_rank = lr_polytope._gf2_rank
+
+        def short_on_generators(rows, bound):
+            calls.append(bound)
+            rank = gf2_rank(rows, bound)
+            return rank - 1 if len(calls) == 1 else rank
+
+        monkeypatch.setattr(lr_polytope, "_gf2_rank", short_on_generators)
+        with pytest.raises(ArithmeticError, match=r"between 47 .* and 48 "):
+            tightness_certificate(spec)
+        assert annihilator_calls == [spec]
+        assert calls == [48, 17]
 
     def test_every_free_column_is_checked(self):
         # A claimed basis that pivots on three of a row's four ones misses
         # one direction.  Only the annihilator of the fourth column exposes
-        # it, so the check must raise wherever that column sits.
+        # it, so the reference check must raise wherever that column sits.
         d = 2
         ncols = 4 * d * d
         for config in itertools.product(range(d), repeat=4):
@@ -370,7 +404,7 @@ class TestTightnessCertificate:
                 row_of_pivot = np.full(ncols, len(pivots))
                 row_of_pivot[pivots] = np.arange(len(pivots))
                 with pytest.raises(ArithmeticError):
-                    lr_polytope._check_null_space(np.array([config]), d, basis, row_of_pivot)
+                    _check_null_space(np.array([config]), d, basis, row_of_pivot)
 
     @pytest.mark.parametrize("spec,rank", [
         # Passes the count (54 >= 24) but is not a facet.
@@ -392,6 +426,78 @@ class TestTightnessCertificate:
             "lr_max", "m_counted", "m_formula", "threshold",
             "linear_rank", "affine_rank", "is_tight_by_count",
         ]
+
+
+class TestAnnihilators:
+    """The 4d + 1 closed-form annihilators that prove every shortfall."""
+
+    def test_every_annihilator_vanishes_on_every_maximizer(self):
+        # Maximizers from the d^4 enumeration, each row built from the
+        # definition; random specs with empty subsets allowed.
+        rng = np.random.default_rng(43)
+        for d in range(2, 6):
+            for _ in range(12):
+                spec = random_spec(rng, d, min_size=0)
+                annihilators = lr_polytope._annihilators(spec).astype(np.int64)
+                assert annihilators.shape == (4 * d + 1, 4 * d * d)
+                rows = np.array([extremal_row(d, config) for config in maximizers(spec)])
+                assert not (annihilators @ rows.T).any(), spec
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_prefix_ranks_match_the_modular_stream(self, d):
+        # Every size tuple at d, the shortfalls proven by the annihilators.
+        shortfalls = 0
+        for spec in prefix_specs(d):
+            bound = rank_bound(spec)
+            rank = tightness_certificate(spec).linear_rank
+            assert rank == _modular_rank(generators(spec), d, bound), spec
+            shortfalls += rank < bound
+        assert shortfalls > 0
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_prefix_ranks_match_the_exact_rank(self, d):
+        # Every maximizer of the d^4 enumeration, fraction-free over Z.
+        for spec in prefix_specs(d):
+            elim = ExactIntegerRank(4 * d * d)
+            for config in maximizers(spec):
+                if elim.rank == rank_bound(spec):
+                    break
+                elim.add(extremal_row(d, config))
+            assert tightness_certificate(spec).linear_rank == elim.rank, spec
+
+    def test_annihilators_prove_the_facet_rank(self):
+        # On a facet the annihilators meet the GF(2) rank too: the party rows
+        # have rank 4d - 1 mod 2 and z adds the last one.  On the shortfalls
+        # measured so far the party rows alone close the gap, so this is the
+        # test that needs z.
+        for d in range(2, 9):
+            spec = T1(d)
+            columns = lr_polytope._extremal_columns(d, generators(spec))
+            lr_polytope._prove_shortfall(spec, columns, facet_threshold(d))
+            with pytest.raises(ArithmeticError, match="between"):
+                lr_polytope._prove_shortfall(spec, columns, facet_threshold(d) - 1)
+
+    @pytest.mark.parametrize("spec,limit,rank", [
+        (BinningSpec(32, (), range(16), range(16), range(16)), 32, 3457),
+        (BinningSpec(64, (), range(32), range(32), range(32)), 64, 14081),
+    ])
+    def test_frozen_shortfalls(self, spec, limit, rank, annihilator_calls):
+        report = tightness_certificate(spec, limit=limit)
+        assert report.linear_rank == report.affine_rank == rank
+        assert rank < report.threshold
+        assert annihilator_calls == [spec]
+
+    def test_facets_never_build_the_annihilators(self, annihilator_calls):
+        # The t1/t3 presets and certify's random specs (nonempty subsets)
+        # all reach the bound over GF(2).
+        specs = [BinningPreset(kind, d).to_binning_spec()
+                 for kind in ("t1", "t3") for d in range(2, 9)]
+        rng = np.random.default_rng(47)
+        specs += [cli._random_spec(rng, int(rng.integers(2, 7))) for _ in range(60)]
+        for spec in specs:
+            report = tightness_certificate(spec)
+            assert report.linear_rank == report.threshold, spec
+        assert annihilator_calls == []
 
 
 class TestMaximizerBoxes:

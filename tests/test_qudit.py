@@ -27,6 +27,7 @@ from binned_bell.lr_polytope import (
 from binned_bell.qudit import (
     SQRT8,
     BinningPreset,
+    _basis_probabilities,
     _binned_observables,
     _fourier_table,
     _grid_start,
@@ -34,7 +35,6 @@ from binned_bell.qudit import (
     _pair_derivatives,
     _pair_sums,
     _phase_derivatives,
-    _probability_matrix,
     PhaseSettings,
     bell_expectation,
     build_bell_operator,
@@ -91,6 +91,11 @@ PARENT_FLOORS = {
 }
 
 
+def probability_matrix(d: int, alpha: float, beta: float) -> np.ndarray:
+    """P[k, l] from direct inner products of basis vectors with |psi>."""
+    return _basis_probabilities(fourier_basis(d, alpha), fourier_basis(d, beta))
+
+
 def t1_coeffs(d: int) -> CoefficientTensor:
     return build_coefficients(BinningPreset("t1", d).to_binning_spec())
 
@@ -103,7 +108,7 @@ def parity_correlators(d: int, phases: PhaseSettings) -> list[float]:
     """E_ab = sum_kl (-1)^(k+l) P_ab(k, l) for ab = 11, 12, 21, 22."""
     sign = np.fromfunction(lambda k, l: (-1.0) ** (k + l), (d, d))
     return [
-        float((sign * _probability_matrix(d, alpha, beta)).sum())
+        float((sign * probability_matrix(d, alpha, beta)).sum())
         for alpha in (phases.alpha1, phases.alpha2)
         for beta in (phases.beta1, phases.beta2)
     ]
@@ -145,7 +150,7 @@ class TestProbabilities:
         for _ in range(10):
             d = int(rng.integers(2, 9))
             phases = random_phases(rng)
-            p = _probability_matrix(d, phases.alpha1, phases.beta2)
+            p = probability_matrix(d, phases.alpha1, phases.beta2)
             assert p.min() >= -1e-15
             assert abs(p.sum() - 1.0) < 1e-12
 
@@ -153,7 +158,7 @@ class TestProbabilities:
         # With all phase offsets zero the amplitude collapses onto pairs
         # with k + l = 0 mod d, each carrying probability exactly 1/d.
         d = 5
-        p = _probability_matrix(d, 0.0, 0.0)
+        p = probability_matrix(d, 0.0, 0.0)
         for k in range(d):
             for l in range(d):
                 expected = 1.0 / d if (k + l) % d == 0 else 0.0
@@ -761,7 +766,7 @@ def eight_basis_bell_sum(d: int, coeffs: CoefficientTensor, phases: PhaseSetting
     total = 0.0
     for alpha, eps_a in ((phases.alpha1, coeffs.eps[0]), (phases.alpha2, coeffs.eps[1])):
         for beta, eps_ab in zip((phases.beta1, phases.beta2), eps_a):
-            total += float((eps_ab * _probability_matrix(d, alpha, beta)).sum())
+            total += float((eps_ab * probability_matrix(d, alpha, beta)).sum())
     return total
 
 
