@@ -11,8 +11,7 @@ _HALVINGS = 40
 _ROUNDING = 1e-14
 
 
-def newton_ascent(fgh, x0, *, xtol: float,
-                  max_steps: int = MAX_STEPS) -> tuple[np.ndarray, float]:
+def newton_ascent(fgh, x0, *, xtol: float) -> tuple[np.ndarray, float]:
     """Maximize F from x0, where fgh(x) returns F(x), its gradient and its Hessian.
 
     Each step is p = -(H - mu I)^-1 g, from one eigendecomposition of the
@@ -21,13 +20,13 @@ def newton_ascent(fgh, x0, *, xtol: float,
     every shifted eigenvalue is negative and g . p > 0: p still ascends.  A
     step that lowers F by more than _ROUNDING |F| is halved, up to _HALVINGS
     times; if every half does too, the search stops.  It also stops after an
-    accepted step of at most xtol in every coordinate, or after max_steps
+    accepted step of at most xtol in every coordinate, or after MAX_STEPS
     steps.  Returns the last accepted point and its value; no accepted step
     lowers F by more than its rounding, so that is the best point seen.
     """
     x = np.asarray(x0, dtype=float)
     f, g, h = fgh(x)
-    for _ in range(max_steps):
+    for _ in range(MAX_STEPS):
         lam, v = np.linalg.eigh(h)
         shift = 0.0 if lam[-1] < 0.0 else lam[-1] + max(np.abs(lam).max(), np.finfo(float).tiny)
         p = v @ ((v.T @ g) / (shift - lam))

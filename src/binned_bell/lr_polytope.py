@@ -25,8 +25,8 @@ maximizers' extremal 0/1 vectors (tightness_certificate, from the boxes).  A
 facet needs rank 4d(d-1); the count of maximizing assignments (closed form
 m_formula) reaching that threshold is only a necessary condition.  The rank
 mod 2 bounds it from below, and a shortfall is bounded from above by 4d + 1
-closed-form integer annihilators (_annihilators).  Rank computations never
-touch floating point.
+closed-form integer annihilators, built as bit rows (_annihilator_rows).
+Rank computations never touch floating point.
 """
 
 from __future__ import annotations
@@ -45,12 +45,10 @@ class EnumerationLimitError(ValueError):
     """d is above the limit: d^4 assignments to enumerate, or a rank over 4 d^2 columns."""
 
 
-def _check_limit(d: int, limit: int) -> None:
+def _check_limit(d: int, limit: int, work: str) -> None:
     if d > limit:
-        raise EnumerationLimitError(
-            f"d={d} exceeds the enumeration limit {limit} (d^4 = {d**4} "
-            f"deterministic assignments); pass a larger limit to proceed"
-        )
+        raise EnumerationLimitError(f"d={d} exceeds the enumeration limit {limit} ({work}); "
+                                    f"pass a larger limit to proceed")
 
 
 def _as_index(value, what: str) -> int:
@@ -183,7 +181,7 @@ def _all_values(eps: np.ndarray) -> np.ndarray:
 
 def lr_max(coeffs: CoefficientTensor, *, limit: int = DEFAULT_ENUMERATION_LIMIT) -> float:
     """Exact LR bound: maximum deterministic value over all d^4 assignments."""
-    _check_limit(coeffs.d, limit)
+    _check_limit(coeffs.d, limit, f"d^4 = {coeffs.d**4} deterministic assignments")
     return float(_all_values(coeffs.eps).max())
 
 
@@ -194,7 +192,7 @@ def count_max_configs(
 
     The one-tensor case of _max_config_counts.
     """
-    _check_limit(coeffs.d, limit)
+    _check_limit(coeffs.d, limit, f"d^4 = {coeffs.d**4} deterministic assignments")
     return int(_max_config_counts(coeffs.eps))
 
 
@@ -246,33 +244,35 @@ def _gf2_rank(rows: Iterable[int], bound: int) -> int:
     return len(basis)
 
 
-def _annihilators(spec: BinningSpec) -> np.ndarray:
-    """4d + 1 integer vectors orthogonal to every maximizer's extremal vector.
+def _bit_row(entries: np.ndarray) -> int:
+    """Bit row (bit c for column c) of a 0/1 vector."""
+    return int.from_bytes(np.packbits(entries, bitorder="little").tobytes(), "little")
 
-    Rows are in the 4d^2 layout of _extremal_columns.  Row a*d + k is +1 on
-    row k of block (a,1) and -1 on row k of block (a,2); row (2+b)*d + l is
-    +1 on column l of block (1,b) and -1 on column l of block (2,b).  Each
-    deterministic vector has one 1 per block, so both kinds vanish on it.
-    The last row is z: with x_a(k) = [k not in R_a] and y_b(l) = [l not in
-    S_b], it is (x1 + y1 - x1 y1, -x1 y2, -x2 y1, x2 y2) on the blocks.  An
-    assignment has 1 + 2 z.v losing terms (terms equal to -1), and a
-    maximizer, which scores 2, has exactly one, so z.v = 0.
+
+def _annihilator_rows(spec: BinningSpec) -> tuple[list[int], np.ndarray]:
+    """The 4d + 1 annihilators as bit rows mod 2, and the last one, z, in integers.
+
+    Each is orthogonal to every maximizer's extremal vector (layout of
+    _extremal_columns).  Row a*d + k is +1 on row k of block (a,1) and -1 on
+    row k of block (a,2); row (2+b)*d + l is +1 on column l of block (1,b)
+    and -1 on column l of block (2,b).  Each deterministic vector has one 1
+    per block, so both kinds vanish on it; mod 2 each is a pair of block
+    rows or block columns of ones.  z, with x_a(k) = [k not in R_a]
+    and y_b(l) = [l not in S_b], is (x1 + y1 - x1 y1, -x1 y2, -x2 y1, x2 y2)
+    on the blocks.  An assignment has 1 + 2 z.v losing terms (terms equal to
+    -1), and a maximizer, which scores 2, has exactly one, so z.v = 0.
     """
     d = spec.d
-    rows = np.zeros((4 * d + 1, 2, 2, d, d), dtype=np.int8)
-    k = np.arange(d)
-    for side in range(2):
-        rows[side * d + k, side, 0, k, :] = 1
-        rows[side * d + k, side, 1, k, :] = -1
-        rows[(2 + side) * d + k, 0, side, :, k] = 1
-        rows[(2 + side) * d + k, 1, side, :, k] = -1
+    dd = d * d
+    block_row = ((1 << d) - 1) * (1 | 1 << dd)
+    block_column = sum(1 << k * d for k in range(d)) * (1 | 1 << 2 * dd)
+    rows = [block_row << 2 * side * dd + k * d for side in range(2) for k in range(d)]
+    rows += [block_column << side * dd + k for side in range(2) for k in range(d)]
     x1, x2, y1, y2 = (1 - _binning_signs([spec])[0]) // 2
-    z = rows[-1]
-    z[0, 0] = np.add.outer(x1, y1) - np.outer(x1, y1)
-    z[0, 1] = -np.outer(x1, y2)
-    z[1, 0] = -np.outer(x2, y1)
-    z[1, 1] = np.outer(x2, y2)
-    return rows.reshape(4 * d + 1, -1)
+    z = np.concatenate([np.add.outer(x1, y1) - np.outer(x1, y1), -np.outer(x1, y2),
+                        -np.outer(x2, y1), np.outer(x2, y2)], axis=None)
+    rows.append(_bit_row(z != 0))
+    return rows, z
 
 
 def _prove_shortfall(spec: BinningSpec, columns: tuple[np.ndarray, ...], rank: int) -> None:
@@ -282,18 +282,18 @@ def _prove_shortfall(spec: BinningSpec, columns: tuple[np.ndarray, ...], rank: i
     rank is their rank mod 2, a lower bound.  Let H be the columns that some
     vector touches.  The annihilators restricted to H are orthogonal to every
     vector, so the rank is at most |H| minus their rank over Q, which is at
-    least their rank mod 2.  The party rows annihilate any deterministic
-    vector; z is checked here exactly, in integers.
+    least the rank mod 2 of their bit rows masked by H.  The party rows
+    annihilate any deterministic vector; z is checked here in integers.
     """
     d = spec.d
-    annihilators = _annihilators(spec)
-    z = annihilators[-1]
+    rows, z = _annihilator_rows(spec)
     if (z[columns[0]] + z[columns[1]] + z[columns[2]] + z[columns[3]]).any():
         raise ArithmeticError(f"d={d}: the losing-term vector z misses a maximizer")
-    touched = np.unique(np.concatenate(columns))
-    bits = np.packbits(annihilators[:, touched] & 1, axis=1, bitorder="little")
-    upper = touched.size - _gf2_rank(
-        (int.from_bytes(row.tobytes(), "little") for row in bits), len(bits))
+    touched = np.zeros(4 * d * d, dtype=bool)
+    for c in columns:
+        touched[c] = True
+    hit = _bit_row(touched)
+    upper = hit.bit_count() - _gf2_rank((row & hit for row in rows), len(rows))
     if upper != rank:
         raise ArithmeticError(
             f"d={d}: the rank over Q lies between {rank} (GF(2) rank) and "
@@ -358,18 +358,18 @@ def tightness_certificate(
     is computed over GF(2), stopping at the bound; an integer matrix's rank
     mod 2 never exceeds its rank over Q (a minor that is odd is a nonzero
     integer), so reaching the bound proves the exact rank.  A shortfall r
-    is proven from above by _prove_shortfall: the 4d + 1 annihilators of
-    _annihilators, restricted to the columns H that the generators touch,
-    have rank mod 2 at least |H| - r, or the call raises ArithmeticError.
-    Only a shortfall builds them.
+    is proven from above by _prove_shortfall: the bit rows of the 4d + 1
+    annihilators, masked by the columns H that the generators touch, have
+    rank mod 2 at least |H| - r, or the call raises ArithmeticError.  Only
+    a shortfall builds them.
 
     is_tight_by_count compares the exact count against the facet threshold
     4d(d-1) and is only a necessary condition: specs with empty subsets
     (which the CLI cannot express) can pass the count with linear_rank below
     the threshold, and are not facets.
     """
-    _check_limit(spec.d, limit)
     d = spec.d
+    _check_limit(d, limit, f"a rank over 4d^2 = {4 * d * d} columns")
     boxes = _maximizer_boxes(spec)
     m_counted = sum(len(k1) * len(k2) * len(l1) * len(l2) for k1, k2, l1, l2 in boxes)
     threshold = facet_threshold(d)

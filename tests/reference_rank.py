@@ -2,11 +2,13 @@
 
 tightness_certificate takes the rank mod 2 of the box generators, a lower
 bound, and proves a shortfall from above with closed-form integer
-annihilators.  This module recomputes ranks by two independent methods for
-the tests to compare against: ExactIntegerRank, a fraction-free elimination
-over the integers, and _modular_rank, an elimination mod the prime 2^31 - 1
-whose shortfall is proven by lifting its null space to exact integer
-annihilators (_check_null_space).
+annihilators, which it builds as bit rows.  This module recomputes ranks by
+two independent methods for the tests to compare against: ExactIntegerRank,
+a fraction-free elimination over the integers, and _modular_rank, an
+elimination mod the prime 2^31 - 1 whose shortfall is proven by lifting its
+null space to exact integer annihilators (_check_null_space).  annihilators
+builds the closed-form annihilators as a dense integer matrix, from their
+definition, for the exact orthogonality test and the bit rows' check.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from binned_bell.lr_polytope import _extremal_columns
+from binned_bell.lr_polytope import BinningSpec, _binning_signs, _extremal_columns
 
 # int64 products in row elimination stay below this before the arbitrary
 # precision fallback kicks in.
@@ -198,3 +200,32 @@ def _check_null_space(
                 f"d={d}: the null space of the rank-{rank} basis mod {_PRIME} does "
                 f"not lift to exact annihilators; the rank over Q is unproven"
             )
+
+
+def annihilators(spec: BinningSpec) -> np.ndarray:
+    """4d + 1 integer vectors orthogonal to every maximizer's extremal vector.
+
+    Rows are in the 4d^2 layout of _extremal_columns.  Row a*d + k is +1 on
+    row k of block (a,1) and -1 on row k of block (a,2); row (2+b)*d + l is
+    +1 on column l of block (1,b) and -1 on column l of block (2,b).  Each
+    deterministic vector has one 1 per block, so both kinds vanish on it.
+    The last row is z: with x_a(k) = [k not in R_a] and y_b(l) = [l not in
+    S_b], it is (x1 + y1 - x1 y1, -x1 y2, -x2 y1, x2 y2) on the blocks.  An
+    assignment has 1 + 2 z.v losing terms (terms equal to -1), and a
+    maximizer, which scores 2, has exactly one, so z.v = 0.
+    """
+    d = spec.d
+    rows = np.zeros((4 * d + 1, 2, 2, d, d), dtype=np.int8)
+    k = np.arange(d)
+    for side in range(2):
+        rows[side * d + k, side, 0, k, :] = 1
+        rows[side * d + k, side, 1, k, :] = -1
+        rows[(2 + side) * d + k, 0, side, :, k] = 1
+        rows[(2 + side) * d + k, 1, side, :, k] = -1
+    x1, x2, y1, y2 = (1 - _binning_signs([spec])[0]) // 2
+    z = rows[-1]
+    z[0, 0] = np.add.outer(x1, y1) - np.outer(x1, y1)
+    z[0, 1] = -np.outer(x1, y2)
+    z[1, 0] = -np.outer(x2, y1)
+    z[1, 1] = np.outer(x2, y2)
+    return rows.reshape(4 * d + 1, -1)

@@ -96,8 +96,8 @@ def test_criterion_3_t2_t3_curves():
     Target values: 2.31 +/- 0.02 for the period-4 block binning at d=32,
     and a crossing below the classical bound 2 by d* <= 16 for the
     half-split binning.  The search is a global one over one full period
-    (a gauge-fixed grid of 16 d points per phase, then a simplex
-    refinement); the assertions record the targets, not the search's reach.
+    (a gauge-fixed grid of 16 d points per phase, then one Newton
+    ascent); the assertions record the targets, not the search's reach.
     """
     _, t2_value = optimize_phases(32, BinningPreset("t2", 32))
     t3_values = {}

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from binned_bell import cli, cv
+from binned_bell import _newton, cli, cv
 from binned_bell._newton import newton_ascent
 from binned_bell.lr_polytope import _chsh_table, build_coefficients
 from binned_bell.qudit import BinningPreset, PhaseSettings, bell_expectation
@@ -761,15 +761,16 @@ class TestNewtonSafeguards:
         found = float(_bell_value(r, ARRANGEMENTS[arrangement].search(r, 2)))
         assert min(value, found) >= float(_bell_value(r, z)) - 1e-12
 
-    def test_indefinite_start_still_ascends(self):
+    def test_indefinite_start_still_ascends(self, monkeypatch):
         fgh = partial(_bell_derivatives, search_forms(1.0, "free"))
+        monkeypatch.setattr(_newton, "MAX_STEPS", 1)
         found = 0
         for x in np.random.default_rng(3).uniform(-0.5, 0.5, size=(200, 4)):
             value, grad, hess = fgh(x)
             if np.linalg.eigvalsh(hess)[-1] <= 0 or grad @ np.linalg.solve(hess, grad) <= 0:
                 continue  # only points where -H^-1 g descends
             found += 1
-            _, first = newton_ascent(fgh, x, xtol=1e-16, max_steps=1)
+            _, first = newton_ascent(fgh, x, xtol=1e-16)
             assert first > value
         assert found >= 5
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from binned_bell.lr_polytope import (
     zeta,
 )
 from binned_bell.qudit import BinningPreset
-from reference_rank import ExactIntegerRank, _check_null_space, _modular_rank
+from reference_rank import ExactIntegerRank, _check_null_space, _modular_rank, annihilators
 
 # Frozen enumeration oracles: (spec, lr_max, maximizer count, linear rank).
 # Counts and ranks come from independent brute-force enumeration; the rank
@@ -72,15 +73,15 @@ def prefix_specs(d: int) -> list[BinningSpec]:
 
 @pytest.fixture
 def annihilator_calls(monkeypatch) -> list[BinningSpec]:
-    """The spec of every _annihilators call the test makes."""
+    """The spec of every _annihilator_rows call the test makes."""
     calls = []
-    annihilators = lr_polytope._annihilators
+    annihilator_rows = lr_polytope._annihilator_rows
 
     def spy(spec):
         calls.append(spec)
-        return annihilators(spec)
+        return annihilator_rows(spec)
 
-    monkeypatch.setattr(lr_polytope, "_annihilators", spy)
+    monkeypatch.setattr(lr_polytope, "_annihilator_rows", spy)
     return calls
 
 
@@ -248,8 +249,14 @@ class TestMaximizerCounting:
                     == count_max_configs(build_coefficients(spec)))
 
     def test_enumeration_limit_guard(self):
-        with pytest.raises(EnumerationLimitError):
-            count_max_configs(build_coefficients(T1(6)), limit=4)
+        # Each message names what the limit bounds: the enumerations count
+        # d^4 assignments, the certificate enumerates none.
+        coeffs = build_coefficients(T1(6))
+        for call in (lr_max, count_max_configs):
+            with pytest.raises(EnumerationLimitError, match=r"\(d\^4 = 1296 deterministic"):
+                call(coeffs, limit=4)
+        with pytest.raises(EnumerationLimitError, match=r"\(a rank over 4d\^2 = 144 columns\)"):
+            tightness_certificate(T1(6), limit=4)
 
 
 class TestExtremalVectors:
@@ -438,10 +445,23 @@ class TestAnnihilators:
         for d in range(2, 6):
             for _ in range(12):
                 spec = random_spec(rng, d, min_size=0)
-                annihilators = lr_polytope._annihilators(spec).astype(np.int64)
-                assert annihilators.shape == (4 * d + 1, 4 * d * d)
+                vectors = annihilators(spec).astype(np.int64)
+                assert vectors.shape == (4 * d + 1, 4 * d * d)
                 rows = np.array([extremal_row(d, config) for config in maximizers(spec)])
-                assert not (annihilators @ rows.T).any(), spec
+                assert not (vectors @ rows.T).any(), spec
+
+    def test_bit_rows_are_the_annihilators_mod_2(self):
+        # The package's closed-form bit rows against the reference integer
+        # annihilators, row by row, and its integer z against their last row.
+        rng = np.random.default_rng(53)
+        for d in range(2, 9):
+            for _ in range(6):
+                spec = random_spec(rng, d, min_size=0)
+                vectors = annihilators(spec)
+                rows, z = lr_polytope._annihilator_rows(spec)
+                assert rows == [sum(1 << int(c) for c in np.flatnonzero(vector & 1))
+                                for vector in vectors], spec
+                assert z.dtype.kind == "i" and (z == vectors[-1]).all(), spec
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_prefix_ranks_match_the_modular_stream(self, d):
@@ -486,6 +506,19 @@ class TestAnnihilators:
         assert report.linear_rank == report.affine_rank == rank
         assert rank < report.threshold
         assert annihilator_calls == [spec]
+
+    def test_shortfall_proof_memory_stays_small(self):
+        # The annihilator bound alone proves 56833 at d = 128 from above.  A
+        # dense (4d + 1) x 4d^2 int8 matrix of the annihilators is 34 MB.
+        spec = BinningSpec(128, (), range(64), range(64), range(64))
+        columns = lr_polytope._extremal_columns(128, generators(spec))
+        tracemalloc.start()
+        try:
+            lr_polytope._prove_shortfall(spec, columns, 56833)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
     def test_facets_never_build_the_annihilators(self, annihilator_calls):
         # The t1/t3 presets and certify's random specs (nonempty subsets)

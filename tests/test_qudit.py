@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import binned_bell
-from binned_bell import cli, lr_polytope, qudit
+from binned_bell import _newton, cli, lr_polytope, qudit
 from binned_bell._newton import newton_ascent
 from binned_bell.cv import _bell_value
 from binned_bell.lr_polytope import (
@@ -696,7 +696,7 @@ class TestFourierDerivatives:
 
 
 class TestNewtonSearch:
-    def test_indefinite_start_still_ascends(self):
+    def test_indefinite_start_still_ascends(self, monkeypatch):
         # At these points the plain Newton step -H^-1 g descends, so only the
         # shifted Hessian's step can raise F.
         _, table = pair_function("t3", 7)
@@ -707,18 +707,21 @@ class TestNewtonSearch:
             if np.linalg.eigvalsh(hess)[-1] <= 0 or grad @ np.linalg.solve(hess, grad) <= 0:
                 continue
             found += 1
-            _, first = newton_ascent(fgh, x, xtol=1e-13, max_steps=1)
+            with monkeypatch.context() as patch:
+                patch.setattr(_newton, "MAX_STEPS", 1)
+                _, first = newton_ascent(fgh, x, xtol=1e-13)
             assert first > value
             assert newton_ascent(fgh, x, xtol=1e-13)[1] >= first
         assert found >= 5
 
-    def test_step_cap_returns_best_point_so_far(self):
+    def test_step_cap_returns_best_point_so_far(self, monkeypatch):
         _, table = pair_function("t2", 11)
         fgh = partial(_phase_derivatives, table)
         start, _ = grid_start(table)
         values = []
         for steps in range(6):
-            x, value = newton_ascent(fgh, start, xtol=1e-13, max_steps=steps)
+            monkeypatch.setattr(_newton, "MAX_STEPS", steps)
+            x, value = newton_ascent(fgh, start, xtol=1e-13)
             assert value == fgh(x)[0]
             values.append(value)
         assert values[0] == fgh(np.array(start))[0]
