@@ -350,14 +350,15 @@ def cmd_threshold(args, parser: argparse.ArgumentParser) -> int:
     records = []
     for s in range(1, args.smax + 1, 2):
         r_boundary = cv.violation_boundary_r(s)
+        bell = cv.tmss_bell_closed_form(s, r_boundary)
         records.append({
             "s": s,
             "kind": "boundary",
             "delta": cv.SQRT8 - 2.0,
             "f_value": math.tanh(r_boundary),
             "r_min": r_boundary,
-            "bell_value": cv.tmss_bell_closed_form(s, r_boundary),
-            "round_trip_error": abs(cv.tmss_bell_closed_form(s, r_boundary) - 2.0),
+            "bell_value": bell,
+            "round_trip_error": abs(bell - 2.0),
         })
         for delta in args.delta:
             th = cv.squeezing_threshold(s, delta)

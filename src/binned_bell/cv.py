@@ -79,7 +79,7 @@ import warnings
 import numpy as np
 
 from ._newton import newton_ascent
-from .lr_polytope import _chsh_table
+from .lr_polytope import _as_index, _chsh_table
 
 SQRT8 = 2.0 * math.sqrt(2.0)
 
@@ -684,6 +684,7 @@ def bw_displaced_parity_max(
     """
     r = _as_squeezing(r)
     cutoff_fock = _check_fock_cutoff(cutoff_fock, r)
+    restarts = _as_index(restarts, "restarts")
     if restarts < 0:
         raise ValueError(f"restarts must be nonnegative, got {restarts}")
     if anchor_zero and complex_displacements:

@@ -40,7 +40,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._newton import newton_ascent
-from .lr_polytope import BinningSpec, CoefficientTensor, _binning_signs, build_coefficients
+from .lr_polytope import BinningSpec, CoefficientTensor, _as_index, _binning_signs, build_coefficients
 
 # Largest d whose dense d^2 x d^2 Bell operator build_bell_operator builds.
 _OPERATOR_LIMIT = 64
@@ -174,8 +174,10 @@ class BinningPreset:
         if kind not in self._KINDS:
             raise ValueError(f"binning preset must be one of {self._KINDS}, got {self.kind!r}")
         object.__setattr__(self, "kind", kind)
-        if self.d < 2:
-            raise ValueError(f"d must be at least 2, got {self.d}")
+        d = _as_index(self.d, "d")
+        if d < 2:
+            raise ValueError(f"d must be at least 2, got {d}")
+        object.__setattr__(self, "d", d)
 
     def subset(self) -> tuple[int, ...]:
         if self.kind == "t1":

@@ -47,7 +47,7 @@ from reference_complex_search import (
     complex_search,
     complex_view,
 )
-from reference_nelder_mead import nelder_mead_lockstep
+from reference_nelder_mead import nelder_mead
 import reference_displaced_parity as dense
 
 # Frozen closed-form oracle: s=9, r=2 evaluates the explicit expression.
@@ -639,6 +639,11 @@ class TestDisplacedParityGuards:
         with pytest.raises(ValueError, match="restarts"):
             self.search(restarts=-1)
 
+    @pytest.mark.parametrize("restarts", [2.5, "1"])
+    def test_non_integer_restarts_rejected(self, restarts):
+        with pytest.raises(ValueError, match="restarts must be an integer"):
+            self.search(restarts=restarts)
+
     def test_anchor_with_complex_displacements_rejected(self):
         with pytest.raises(ValueError, match="anchor_zero"):
             self.search(anchor_zero=True, complex_displacements=True)
@@ -788,16 +793,16 @@ class TestNewtonSafeguards:
         # over all of the arrangement's real parameters.
         anchor_zero = arrangement == "anchored"
         for r in (0.0, 0.3, 0.8, 1.5, 2.0):
-            start = _grid_starts(r, anchor_zero, search_box(r), 1)
+            start = _grid_starts(r, anchor_zero, search_box(r), 1)[0]
             if arrangement == "complex":
                 # All eight parameters, imaginary parts 0: the simplex fixes no gauge.
-                start, to_z = np.insert(start, [1, 2, 3, 4], 0.0, axis=1), complex_view
+                start, to_z = np.insert(start, [1, 2, 3, 4], 0.0), complex_view
             else:
                 to_z = partial(full_displacements, arrangement)
 
             def minus_bell(x):
                 return -_bell_value(r, to_z(x))
 
-            _, fsim = nelder_mead_lockstep(minus_bell, start, maxiter=4000, maxfev=8000)
+            simplex = -nelder_mead(minus_bell, start).fun
             z = ARRANGEMENTS[arrangement].search(r, 0)
-            assert float(_bell_value(r, z)) >= -fsim[0, 0] - 1e-14, (arrangement, r)
+            assert float(_bell_value(r, z)) >= simplex - 1e-14, (arrangement, r)

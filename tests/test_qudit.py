@@ -15,7 +15,6 @@ import pytest
 import binned_bell
 from binned_bell import _newton, cli, lr_polytope, qudit
 from binned_bell._newton import newton_ascent
-from binned_bell.cv import _bell_value
 from binned_bell.lr_polytope import (
     BinningSpec,
     CoefficientTensor,
@@ -43,9 +42,8 @@ from binned_bell.qudit import (
     optimize_phases,
     probability_kernel,
 )
-from reference_complex_search import complex_view
 from reference_grid_start import full_table_grid_start
-from reference_nelder_mead import nelder_mead_lockstep
+from reference_nelder_mead import nelder_mead
 
 OPTIMAL_PHASES = PhaseSettings(0.0, 0.5, -0.25, 0.25)
 
@@ -462,6 +460,11 @@ class TestPresets:
         with pytest.raises(ValueError):
             BinningPreset("t4", 4)
 
+    @pytest.mark.parametrize("d", [2.5, "4"])
+    def test_non_integer_d_rejected(self, d):
+        with pytest.raises(ValueError, match="d must be an integer"):
+            BinningPreset("t1", d)
+
     def test_t3_equals_t2_at_d4(self):
         assert BinningPreset("t3", 4).subset() == BinningPreset("t2", 4).subset()
 
@@ -554,8 +557,7 @@ def kernel_objective(coeffs: CoefficientTensor):
 
     Each f_ab is one stacked (1, d) @ (d, 1) matmul and the four are summed
     in the order f11 + f12 + f21 + f22, so a point's value has the same bits
-    whatever batch it is in, as the lockstep Nelder-Mead's comparison with
-    scipy's one-point calls needs.
+    whatever batch it is in.
     """
     d = coeffs.d
     c = _pair_sums(coeffs).reshape(4, d, 1)
@@ -741,9 +743,7 @@ class TestNewtonSearch:
         for d in range(3 if kind == "t2" else 2, 33):
             coeffs = preset_coeffs(kind, d)
             start, _ = grid_start(pair_function(kind, d)[1])
-            sim, _ = nelder_mead_lockstep(gauge_fixed_objective(kernel_objective(coeffs)), [start],
-                                          maxiter=4000, maxfev=8000)
-            a1, a2, b2 = sim[0, 0]
+            a1, a2, b2 = nelder_mead(gauge_fixed_objective(kernel_objective(coeffs)), start).x
             simplex = bell_expectation(d, coeffs, PhaseSettings(a1, a2, 0.0, b2).reduced(d),
                                        method="direct")
             assert optimize_phases(d, kind)[1] >= simplex - 1e-14, (kind, d)
@@ -870,178 +870,6 @@ class TestClosedForms:
         for d in dims:
             assert np.abs(pair_value(pair_function(kind, d)[0], t) - base).max() < 1e-13, d
 
-
-def scipy_nelder_mead(func, x0, *, maxiter=4000, maxfev=8000):
-    """One start of scipy's Nelder-Mead on func, with the reference's tolerances.
-
-    Returns the result and every value scipy evaluated.
-    """
-    from scipy.optimize import minimize
-
-    seen = []
-
-    def recorded(x):
-        seen.append(func(x))
-        return seen[-1]
-
-    res = minimize(
-        recorded,
-        x0,
-        method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-10, "maxiter": maxiter, "maxfev": maxfev},
-    )
-    return res, seen
-
-
-def assert_lockstep_matches_scipy(func, starts, sim, fsim, **caps) -> set[str]:
-    """Compare each start's final simplex, x and fun with scipy's, by ==.
-
-    Returns how scipy's runs were cut mid-iteration: a dropped expansion
-    leaves an evaluated value below the returned one, and a partial shrink
-    leaves a moved vertex whose stored value is stale.
-    """
-    cut = set()
-    for x0, s, f in zip(starts, sim, fsim):
-        res, seen = scipy_nelder_mead(func, x0, **caps)
-        ref_sim, ref_fsim = res.final_simplex
-        assert np.array_equal(s, ref_sim) and np.array_equal(f, ref_fsim), caps
-        assert np.array_equal(s[0], res.x) and f.min() == res.fun, caps
-        if seen and min(seen) < res.fun:
-            cut.add("expansion")
-        if np.any(np.isfinite(f) & (func(s) != f)):
-            cut.add("shrink")
-    return cut
-
-
-def lockstep_starts(seed: int, n: int = 4) -> np.ndarray:
-    """A grid-like start with zero coordinates, then seeded random starts."""
-    rng = np.random.default_rng(seed)
-    return np.vstack([np.resize([0.0, 0.5, 1.25, 0.0], n), rng.uniform(0.0, 2.0, size=(4, n))])
-
-
-def anchored_displacements(x: np.ndarray) -> np.ndarray:
-    """(0, alpha', 0, beta') from the anchored search's parameters (..., 2)."""
-    z = np.zeros(np.shape(x)[:-1] + (4,))
-    z[..., 1::2] = x
-    return z
-
-
-# Displacements (alpha, alpha', beta, beta') from the real parameters of
-# each arrangement of the displaced-parity search, and their number.
-CV_SEARCHES = {"cv-free": (lambda x: x, 4), "cv-anchored": (anchored_displacements, 2),
-               "cv-complex": (complex_view, 8)}
-
-
-def search_objective(kind: str, d: int):
-    """A minimized objective of the searches and its number of parameters.
-
-    kind t1/t2/t3 is minus the Bell sum over the four phases at dimension d;
-    a cv-* kind is minus the closed-form displaced-parity Bell sum of that
-    arrangement at squeezing r = d / 10, over all of its real parameters.
-    """
-    if kind not in CV_SEARCHES:
-        objective = kernel_objective(preset_coeffs(kind, d))
-        return (lambda x: -objective(x)), 4
-    displacements, n = CV_SEARCHES[kind]
-    r = d / 10
-    return (lambda x: -_bell_value(r, displacements(x))), n
-
-
-class TestLockstepNelderMead:
-    @pytest.mark.parametrize(
-        "kind,d",
-        [("t1", 2), ("t3", 2)]
-        + [(k, d) for d in (5, 8, 32) for k in ("t1", "t2", "t3")]
-        + [(k, d) for d in (9, 14) for k in CV_SEARCHES],
-    )
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_every_start_matches_scipy_bit_for_bit(self, kind, d, seed):
-        func, n = search_objective(kind, d)
-        # Displacements near the optimum are well below 1 at these squeezings.
-        starts = lockstep_starts(seed, n) * (0.25 if kind in CV_SEARCHES else 1.0)
-        sim, fsim = nelder_mead_lockstep(func, starts, maxiter=4000, maxfev=8000)
-        assert_lockstep_matches_scipy(func, starts, sim, fsim)
-
-    @pytest.mark.parametrize(
-        "func",
-        [lambda x: np.zeros(np.shape(x)[:-1]), lambda x: np.floor(2 * x).sum(axis=-1)],
-        ids=["constant", "staircase"],
-    )
-    def test_ties_resolve_like_scipy(self, func):
-        # Equal values at every vertex: scipy's argsort (not a stable sort)
-        # orders the ties, and failed contractions shrink the simplex.
-        starts = lockstep_starts(5)
-        sim, fsim = nelder_mead_lockstep(func, starts, maxiter=4000, maxfev=8000)
-        assert_lockstep_matches_scipy(func, starts, sim, fsim)
-
-    def test_non_finite_values_resolve_like_scipy(self):
-        # A bowl with NaN and +inf on slabs the searches cross and -inf on a
-        # corner they fall into.  NaN fails every comparison, so it sorts
-        # last; on the plateau x3 > 1.6, NaN cells finer than the tolerance
-        # leave a NaN worst vertex when the rest of the simplex has
-        # converged, and the convergence test must not pass over it.  A -inf
-        # simplex never converges.
-        def func(x):
-            value = sum((x[..., k] - 0.7) ** 2 for k in range(4))
-            plateau = x[..., 3] > 1.6
-            value = np.where(plateau, -1.0, value)
-            value = np.where(plateau & (np.floor(x[..., 0] * 2.0**34) % 2 == 1), np.nan, value)
-            value = np.where((1.0 < x[..., 0]) & (x[..., 0] < 1.15), np.nan, value)
-            value = np.where((1.3 < x[..., 1]) & (x[..., 1] < 1.45), np.inf, value)
-            return np.where((x[..., 2] < 0.25) & (x[..., 3] < 0.25), -np.inf, value)
-
-        boundary = [[0.97, 0.7, 0.7, 0.7], [0.7, 1.25, 0.7, 0.7], [0.7, 0.7, 0.7, 1.8]]
-        starts = np.vstack([lockstep_starts(0), boundary])
-        caps = {"maxiter": 1000, "maxfev": 2000}
-        sim, fsim = nelder_mead_lockstep(func, starts, **caps)
-        seen_all, escaped = [], False
-        for x0, s, f in zip(starts, sim, fsim):
-            # scipy's convergence test subtracts inf from inf here.
-            with np.errstate(invalid="ignore"):
-                res, seen = scipy_nelder_mead(func, x0, **caps)
-            ref_sim, ref_fsim = res.final_simplex
-            assert np.array_equal(s, ref_sim) and np.array_equal(f, ref_fsim, equal_nan=True)
-            seen_all += seen
-            escaped |= not np.all(np.isfinite(seen)) and np.all(np.isfinite(f))
-        seen_all = np.array(seen_all)
-        assert np.isnan(seen_all).any() and np.isposinf(seen_all).any()
-        assert np.isneginf(seen_all).any() and escaped
-
-    @pytest.mark.parametrize("kind,d", [("t3", 5), ("cv-complex", 9)])
-    def test_func_gets_one_float64_batch_per_round(self, kind, d):
-        func, n = search_objective(kind, d)
-        batches = []
-
-        def recording(x):
-            batches.append(x)
-            return func(x)
-
-        starts = lockstep_starts(1, n) * (0.25 if kind in CV_SEARCHES else 1.0)
-        sim, fsim = nelder_mead_lockstep(recording, starts, maxiter=40, maxfev=80)
-        assert batches
-        for x in batches:
-            assert type(x) is np.ndarray and x.dtype == np.float64 and x.flags.c_contiguous
-            assert x.ndim == 2 and 1 <= len(x) <= len(starts) * (n + 1) and x.shape[1] == n
-        assert sim.dtype == fsim.dtype == np.float64
-        assert sim.shape == (len(starts), n + 1, n) and fsim.shape == (len(starts), n + 1)
-
-    def test_caps_cut_starts_mid_iteration_like_scipy(self):
-        # The phase objective of t3 at d = 5 in the gauge beta1 = 0, from the
-        # phase search's grid start.
-        func = gauge_fixed_objective(kernel_objective(preset_coeffs("t3", 5)))
-        starts = [grid_start(pair_function("t3", 5)[1])[0]]
-        cut = set()
-        # maxfev below the 4 initial evaluations and over the first
-        # iterations, at 81, 107, 109 and 113, where this start drops an
-        # expansion, and at 168, 169 and 173, where it is inside a shrink
-        # (all found by recording); maxiter 1 runs no iteration.
-        fevs = [*range(3, 8), 81, 107, 109, 113, 168, 169, 173]
-        for maxiter, maxfev in [(4000, f) for f in fevs] + [(1, 8000), (6, 8000)]:
-            sim, fsim = nelder_mead_lockstep(func, starts, maxiter=maxiter, maxfev=maxfev)
-            cut |= assert_lockstep_matches_scipy(
-                func, starts, sim, fsim, maxiter=maxiter, maxfev=maxfev
-            )
-        assert cut == {"expansion", "shrink"}
 
 # `scan-qudit --seed 3 --format csv` rows, one dimension per run, recorded
 # from the Newton ascent from the gauge-fixed grid, whose values come from
